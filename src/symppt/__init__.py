@@ -14,7 +14,6 @@ from .combx import (
     sappt_threshold_qubits,
     sappt_threshold_qudits,
     symmetric_dimension,
-    vandermonde_convolution_sides,
 )
 from .ptrans import (
     LadderOperators,

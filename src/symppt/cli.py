@@ -11,11 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .combx import sappt_threshold_qubits
 from .ptrans import (
+    QUDIT_DIM_CAP,
     Spectrum,
     maxmixed_pt,
     maxmixed_pt_spectrum,
@@ -50,13 +53,24 @@ _PENT_REFERENCE = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
+
+
+class Table(NamedTuple):
+    """One command's result: JSON ``{**header, key: rows, **trailer}`` or CSV
+    (``csv_columns or columns``, then the rows); ``text`` for the text format.
+    A ``violation`` is printed after the output and makes the exit code 2."""
+
+    header: dict
+    key: str | None = None
+    columns: tuple = ()
+    rows: list = []
+    trailer: dict = {}
+    csv_columns: tuple = ()
+    text: str = ""
+    violation: str = ""
 
 
 def _fmt(x: float) -> str:
@@ -67,165 +81,98 @@ def _jfloat(x: float) -> float:
     return float(_fmt(x))
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _cell(x, fmt: str):
+    """A typed cell, or a list or dict of them, as CSV text or a JSON value."""
+    if isinstance(x, float):
+        return _jfloat(x) if fmt == "json" else _fmt(x)
+    if isinstance(x, bool) and fmt == "csv":
+        return str(x).lower()
+    if isinstance(x, Fraction) or fmt == "csv":
+        return str(x)
+    if isinstance(x, dict):
+        return {key: _cell(value, fmt) for key, value in x.items()}
+    if isinstance(x, list):
+        return [_cell(value, fmt) for value in x]
+    return x
 
 
-def _csv(rows: list[list[str]]) -> str:
-    return "\n".join(",".join(row) for row in rows) + "\n"
+def _limit(what: str, value: float, tol: float) -> str:
+    return f"{what} {value} exceeds {tol}" if value > tol else ""
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _render(table: Table, fmt: str) -> str:
+    if fmt == "text":
+        return table.text
+    if fmt == "csv":
+        lines = [table.csv_columns or table.columns]
+        lines += [[_cell(x, fmt) for x in row] for row in table.rows]
+        return "\n".join(",".join(line) for line in lines) + "\n"
+    doc = dict(table.header)
+    if table.key:
+        doc[table.key] = [dict(zip(table.columns, row)) for row in table.rows]
+    doc.update(table.trailer)
+    return json.dumps(_cell(doc, fmt), indent=2) + "\n"
 
 
 def _resolve_witness(args):
-    if getattr(args, "witness_file", None):
-        return load_witness_file(args.witness_file)
-    name = getattr(args, "name", None) or getattr(args, "witness", None)
-    if not name:
-        raise _UsageError("a witness name (W5/W7/W9) or --witness-file is required")
-    return builtin_witness(name)
+    """The requested witness and the qubit count it acts on."""
+    if args.witness_file:
+        w = load_witness_file(args.witness_file)
+    elif args.witness:
+        w = builtin_witness(args.witness)
+    else:
+        raise ValueError("a witness name (W5/W7/W9) or --witness-file is required")
+    n = args.n if args.n is not None else w.n
+    if w.dim != n + 1:
+        raise ValueError(f"{args.command}: witness dim {w.dim} does not match n={n}")
+    return w, n
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args) -> Table:
     if not 4 <= args.nmax <= 14:
         raise ValueError(f"table1: nmax must lie in [4, 14], got {args.nmax}")
     rows = []
     for n in range(4, args.nmax + 1):
         p_min = sappt_threshold_qubits(n)
-        if n in (5, 7, 9):
-            p_ent_w = _fmt(detection_threshold(builtin_witness(f"W{n}"), n))
-        else:
-            p_ent_w = "/"
+        p_ent_w = detection_threshold(builtin_witness(f"W{n}"), n) if n in (5, 7, 9) else "/"
         ref = _PENT_REFERENCE.get(n, "/")
-        rows.append(
-            {
-                "n": n,
-                "p_min": str(p_min),
-                "p_min_float": _fmt(p_min),
-                "p_ent_witness": p_ent_w,
-                "p_ent_ref": ref,
-                "p_ent_ref_status": "not-reproduced" if ref != "/" else "/",
-            }
-        )
-    if args.format == "json":
-        for row in rows:
-            row["p_min_float"] = _jfloat(row["p_min_float"])
-            if row["p_ent_witness"] != "/":
-                row["p_ent_witness"] = _jfloat(row["p_ent_witness"])
-        _emit(_json_text({"rows": rows}), args.out)
-    else:
-        header = ["n", "p_min", "p_min_float", "p_ent_witness", "p_ent_ref", "p_ent_ref_status"]
-        table = [header] + [[str(r[h]) for h in header] for r in rows]
-        _emit(_csv(table), args.out)
-    return 0
+        rows.append((n, p_min, float(p_min), p_ent_w, ref, "not-reproduced" if ref != "/" else "/"))
+    columns = ("n", "p_min", "p_min_float", "p_ent_witness", "p_ent_ref", "p_ent_ref_status")
+    return Table({}, "rows", columns, rows)
 
 
 def _numeric_spectrum(bip: Bipartition) -> Spectrum:
-    vals = np.linalg.eigvalsh(maxmixed_pt(bip).matrix.real)
-    return Spectrum.from_eigenvalues(vals)
+    return Spectrum.from_eigenvalues(np.linalg.eigvalsh(maxmixed_pt(bip).matrix.real))
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> Table:
     bip = Bipartition(args.n, args.k if args.k is not None else args.n // 2)
-    if args.mode == "analytic":
-        spec = maxmixed_pt_spectrum(bip)
-        if args.format == "json":
-            _emit(
-                _json_text(
-                    {
-                        "n": bip.n,
-                        "k": bip.k,
-                        "entries": [
-                            {"value": str(v), "multiplicity": m} for v, m in spec.entries
-                        ],
-                    }
-                ),
-                args.out,
-            )
-        else:
-            table = [["value", "multiplicity"]]
-            table += [[str(v), str(m)] for v, m in spec.entries]
-            _emit(_csv(table), args.out)
-        return 0
-    if args.mode == "numeric":
-        spec = _numeric_spectrum(bip)
-        if args.format == "json":
-            _emit(
-                _json_text(
-                    {
-                        "n": bip.n,
-                        "k": bip.k,
-                        "entries": [
-                            {"value": _jfloat(v), "multiplicity": m} for v, m in spec.entries
-                        ],
-                    }
-                ),
-                args.out,
-            )
-        else:
-            table = [["value", "multiplicity"]]
-            table += [[_fmt(v), str(m)] for v, m in spec.entries]
-            _emit(_csv(table), args.out)
-        return 0
+    header = {"n": bip.n, "k": bip.k}
+    if args.mode != "both":
+        spec = maxmixed_pt_spectrum(bip) if args.mode == "analytic" else _numeric_spectrum(bip)
+        return Table(header, "entries", ("value", "multiplicity"), list(spec.entries))
 
     analytic = maxmixed_pt_spectrum(bip)
     numeric = _numeric_spectrum(bip)
-    if len(analytic.entries) != len(numeric.entries) or any(
-        ma != mn for (_, ma), (_, mn) in zip(analytic.entries, numeric.entries)
-    ):
-        print("spectrum: numeric degeneracy structure deviates from the closed form", file=sys.stderr)
-        return 2
-    entries = []
-    max_dev = 0.0
+    if [m for _, m in analytic.entries] != [m for _, m in numeric.entries]:
+        raise RuntimeError("spectrum: numeric degeneracy structure deviates from the closed form")
+    rows = []
     for (va, m), (vn, _) in zip(analytic.entries, numeric.entries):
-        dev = abs(float(va) - vn)
-        max_dev = max(max_dev, dev)
-        entries.append((va, vn, m, dev))
-    if args.format == "json":
-        _emit(
-            _json_text(
-                {
-                    "n": bip.n,
-                    "k": bip.k,
-                    "entries": [
-                        {
-                            "analytic": str(va),
-                            "numeric": _jfloat(vn),
-                            "multiplicity": m,
-                            "abs_deviation": _jfloat(dev),
-                        }
-                        for va, vn, m, dev in entries
-                    ],
-                    "max_abs_deviation": _jfloat(max_dev),
-                }
-            ),
-            args.out,
-        )
-    else:
-        table = [["analytic_value", "numeric_value", "multiplicity", "abs_deviation"]]
-        table += [[str(va), _fmt(vn), str(m), _fmt(dev)] for va, vn, m, dev in entries]
-        _emit(_csv(table), args.out)
-    if max_dev > SPECTRUM_BOTH_TOL:
-        print(f"spectrum: max deviation {max_dev} exceeds {SPECTRUM_BOTH_TOL}", file=sys.stderr)
-        return 2
-    return 0
+        rows.append((va, vn, m, abs(float(va) - vn)))
+    max_dev = max(row[3] for row in rows)
+    violation = _limit("spectrum: max deviation", max_dev, SPECTRUM_BOTH_TOL)
+    columns = ("analytic", "numeric", "multiplicity", "abs_deviation")
+    csv_columns = ("analytic_value", "numeric_value", "multiplicity", "abs_deviation")
+    trailer = {"max_abs_deviation": max_dev}
+    return Table(header, "entries", columns, rows, trailer, csv_columns, violation=violation)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Table:
     if not (0 <= args.p_from <= args.p_to <= 1):
         raise ValueError(f"scan: need 0 <= p-from <= p-to <= 1, got [{args.p_from}, {args.p_to}]")
     if args.steps < 1:
         raise ValueError(f"scan: steps must be >= 1, got {args.steps}")
-    w = _resolve_witness(args)
-    n = args.n if args.n is not None else w.n
-    if w.dim != n + 1:
-        raise ValueError(f"scan: witness dim {w.dim} does not match n={n}")
+    w, n = _resolve_witness(args)
     bip = Bipartition(n, args.k if args.k is not None else n // 2)
     p_min = float(sappt_threshold_qubits(n))
 
@@ -239,176 +186,69 @@ def cmd_scan(args) -> int:
         p = float(p)
         tr = expectation_value(ghz_witness_mixture(n, p), w)
         lam = min_eigenvalue(BipartiteOperator(bip, p * pt_uniform + (1 - p) * pt_ghz))
-        rows.append(
-            {
-                "p": p,
-                "witness_expectation": tr,
-                "lambda_min": lam,
-                "sapt": p >= p_min - 1e-12,
-                "witness_detects": tr < 0,
-            }
-        )
-    if args.format == "json":
-        _emit(
-            _json_text(
-                {
-                    "n": n,
-                    "k": bip.k,
-                    "witness": w.name,
-                    "rows": [
-                        {
-                            "p": _jfloat(r["p"]),
-                            "witness_expectation": _jfloat(r["witness_expectation"]),
-                            "lambda_min": _jfloat(r["lambda_min"]),
-                            "sapt": r["sapt"],
-                            "witness_detects": r["witness_detects"],
-                        }
-                        for r in rows
-                    ],
-                }
-            ),
-            args.out,
-        )
-    else:
-        table = [["p", "witness_expectation", "lambda_min", "sapt", "witness_detects"]]
-        table += [
-            [
-                _fmt(r["p"]),
-                _fmt(r["witness_expectation"]),
-                _fmt(r["lambda_min"]),
-                str(r["sapt"]).lower(),
-                str(r["witness_detects"]).lower(),
-            ]
-            for r in rows
-        ]
-        _emit(_csv(table), args.out)
-    return 0
+        rows.append((p, tr, lam, p >= p_min - 1e-12, tr < 0))
+    columns = ("p", "witness_expectation", "lambda_min", "sapt", "witness_detects")
+    return Table({"n": n, "k": bip.k, "witness": w.name}, "rows", columns, rows)
 
 
-def cmd_qudit_check(args) -> int:
-    if args.d < 2:
-        raise ValueError(f"qudit-check: local dimension must be >= 2, got {args.d}")
+def cmd_qudit_check(args) -> Table:
     if args.nmax < 2:
         raise ValueError(f"qudit-check: nmax must be >= 2, got {args.nmax}")
     rows = []
-    worst = 0.0
     for n in range(2, args.nmax + 1):
         for k in range(1, n // 2 + 1):
             bip = Bipartition(n, k, args.d)
-            if bip.dim > 5000:
+            if bip.dim > QUDIT_DIM_CAP:
                 continue
             numeric, conjectured = qudit_min_eig_check(n, args.d, k)
-            delta = abs(numeric - float(conjectured))
-            worst = max(worst, delta)
-            rows.append((n, k, bip.dim, numeric, conjectured, delta))
-    if args.format == "json":
-        _emit(
-            _json_text(
-                {
-                    "d": args.d,
-                    "rows": [
-                        {
-                            "n": n,
-                            "k": k,
-                            "dim": dim,
-                            "min_eig": _jfloat(numeric),
-                            "conjectured": str(conj),
-                            "abs_delta": _jfloat(delta),
-                        }
-                        for n, k, dim, numeric, conj, delta in rows
-                    ],
-                    "max_abs_delta": _jfloat(worst),
-                }
-            ),
-            args.out,
-        )
-    else:
-        table = [["n", "k", "dim", "min_eig", "conjectured", "abs_delta"]]
-        table += [
-            [str(n), str(k), str(dim), _fmt(numeric), str(conj), _fmt(delta)]
-            for n, k, dim, numeric, conj, delta in rows
-        ]
-        _emit(_csv(table), args.out)
-    if worst > QUDIT_CHECK_TOL:
-        print(f"qudit-check: max |delta| {worst} exceeds {QUDIT_CHECK_TOL}", file=sys.stderr)
-        return 2
-    return 0
+            rows.append((n, k, bip.dim, numeric, conjectured, abs(numeric - float(conjectured))))
+    worst = max((row[5] for row in rows), default=0.0)
+    violation = _limit("qudit-check: max |delta|", worst, QUDIT_CHECK_TOL)
+    columns = ("n", "k", "dim", "min_eig", "conjectured", "abs_delta")
+    return Table({"d": args.d}, "rows", columns, rows, {"max_abs_delta": worst}, violation=violation)
 
 
-def cmd_witness(args) -> int:
-    w = _resolve_witness(args)
-    n = args.n if args.n is not None else w.n
-    if w.dim != n + 1:
-        raise ValueError(f"witness: witness dim {w.dim} does not match n={n}")
-
+def cmd_witness(args) -> Table:
+    w, n = _resolve_witness(args)
     if args.threshold and not args.validate and args.p is None:
         thr = detection_threshold(w, n)
-        if args.format == "json":
-            _emit(_json_text({"witness": w.name, "detection_threshold": _jfloat(thr)}), args.out)
-        else:
-            _emit(_fmt(thr) + "\n", args.out)
-        return 0
+        return Table({"witness": w.name, "detection_threshold": thr}, text=_fmt(thr) + "\n")
     if args.validate and not args.threshold and args.p is None:
         val, (theta, phi) = minimize_over_products(w, args.grid)
-        if args.format == "json":
-            _emit(
-                _json_text(
-                    {
-                        "witness": w.name,
-                        "product_min": _jfloat(val),
-                        "theta": _jfloat(theta),
-                        "phi": _jfloat(phi),
-                    }
-                ),
-                args.out,
-            )
-        else:
-            _emit(f"min={_fmt(val)} theta={_fmt(theta)} phi={_fmt(phi)}\n", args.out)
-        return 0
+        text = f"min={_fmt(val)} theta={_fmt(theta)} phi={_fmt(phi)}\n"
+        return Table({"witness": w.name, "product_min": val, "theta": theta, "phi": phi}, text=text)
 
     p_min = sappt_threshold_qubits(n)
     thr = detection_threshold(w, n)
     val, (theta, phi) = minimize_over_products(w, args.grid)
+    interval = [float(p_min), thr] if thr > float(p_min) else None
     report = {
         "witness": w.name,
         "dim": w.dim,
         "n": n,
-        "p_min": str(p_min),
-        "p_min_float": _jfloat(p_min),
-        "detection_threshold": _jfloat(thr),
-        "certified_interval": [_jfloat(p_min), _jfloat(thr)] if thr > float(p_min) else None,
-        "product_min": _jfloat(val),
-        "product_argmin": {"theta": _jfloat(theta), "phi": _jfloat(phi)},
+        "p_min": p_min,
+        "p_min_float": float(p_min),
+        "detection_threshold": thr,
+        "certified_interval": interval,
+        "product_min": val,
+        "product_argmin": {"theta": theta, "phi": phi},
     }
+    lines = [
+        f"witness: {w.name}",
+        f"dim: {w.dim}",
+        f"n: {n}",
+        f"p_min: {p_min} ({_fmt(p_min)})",
+        f"detection_threshold: {_fmt(thr)}",
+    ]
+    if interval:
+        lines.append(f"certified_entangled_sappt_interval: [{_fmt(p_min)}, {_fmt(thr)}]")
+    lines.append(f"product_min: {_fmt(val)} at theta={_fmt(theta)}, phi={_fmt(phi)}")
     if args.p is not None:
-        if not 0 <= args.p <= 1:
-            raise ValueError(f"witness: p must lie in [0, 1], got {args.p}")
         tr = expectation_value(ghz_witness_mixture(n, args.p), w)
-        report["p"] = _jfloat(args.p)
-        report["expectation"] = _jfloat(tr)
-        report["verdict"] = "entangled (witness)" if tr < 0 else "not detected"
-    if args.format == "json":
-        _emit(_json_text(report), args.out)
-    else:
-        lines = [
-            f"witness: {report['witness']}",
-            f"dim: {report['dim']}",
-            f"n: {report['n']}",
-            f"p_min: {report['p_min']} ({_fmt(report['p_min_float'])})",
-            f"detection_threshold: {_fmt(report['detection_threshold'])}",
-        ]
-        if report["certified_interval"]:
-            lo, hi = report["certified_interval"]
-            lines.append(f"certified_entangled_sappt_interval: [{_fmt(lo)}, {_fmt(hi)}]")
-        lines.append(
-            f"product_min: {_fmt(report['product_min'])} at "
-            f"theta={_fmt(theta)}, phi={_fmt(phi)}"
-        )
-        if "expectation" in report:
-            lines.append(f"expectation(p={_fmt(report['p'])}): {_fmt(report['expectation'])}")
-            lines.append(f"verdict: {report['verdict']}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        verdict = "entangled (witness)" if tr < 0 else "not detected"
+        report.update(p=args.p, expectation=tr, verdict=verdict)
+        lines += [f"expectation(p={_fmt(args.p)}): {_fmt(tr)}", f"verdict: {verdict}"]
+    return Table(report, text="\n".join(lines) + "\n")
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -416,30 +256,29 @@ def _parse_grid(text: str) -> tuple[int, int]:
         w, h = text.lower().split("x")
         return int(w), int(h)
     except ValueError:
-        raise _UsageError(f"--grid expects WxH (e.g. 721x360), got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects WxH (e.g. 721x360), got {text!r}")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="symppt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def output_flags(p, formats=("csv", "json")):
+    def command(name, func, help, formats=("csv", "json")):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=formats, default=formats[0], help="output format")
         p.add_argument("--out", default=None, help="write output to PATH instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("table1", help="SAPPT thresholds and witness detection bounds per qubit count")
+    p = command("table1", cmd_table1, "SAPPT thresholds and witness detection bounds per qubit count")
     p.add_argument("--nmax", type=int, default=10, help="largest qubit count (4..14)")
-    output_flags(p)
-    p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("spectrum", help="spectrum of the transposed uniform symmetric state")
+    p = command("spectrum", cmd_spectrum, "spectrum of the transposed uniform symmetric state")
     p.add_argument("--n", type=int, required=True, help="qubit count")
     p.add_argument("--k", type=int, default=None, help="A-side size (default floor(n/2))")
     p.add_argument("--mode", choices=("analytic", "numeric", "both"), default="analytic")
-    output_flags(p)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("scan", help="witness expectation and PT minimum eigenvalue over a p range")
+    p = command("scan", cmd_scan, "witness expectation and PT minimum eigenvalue over a p range")
     p.add_argument("--n", type=int, default=None, help="qubit count (default witness dim - 1)")
     p.add_argument("--k", type=int, default=None, help="A-side size (default floor(n/2))")
     p.add_argument("--witness", default=None, help="builtin witness name (W5/W7/W9)")
@@ -447,47 +286,43 @@ def build_parser() -> _Parser:
     p.add_argument("--p-from", type=float, required=True, dest="p_from")
     p.add_argument("--p-to", type=float, required=True, dest="p_to")
     p.add_argument("--steps", type=int, default=11)
-    output_flags(p)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("qudit-check", help="numeric vs conjectured PT minimum for qudit sectors")
+    p = command("qudit-check", cmd_qudit_check, "numeric vs conjectured PT minimum for qudit sectors")
     p.add_argument("--d", type=int, required=True, help="local dimension")
     p.add_argument("--nmax", type=int, default=15, help="largest particle count")
-    output_flags(p)
-    p.set_defaults(func=cmd_qudit_check)
 
-    p = sub.add_parser("witness", help="witness report: threshold, validity, expectation")
-    p.add_argument("name", nargs="?", default=None, help="builtin witness name (W5/W7/W9)")
+    p = command("witness", cmd_witness, "witness report: threshold, validity, expectation",
+                formats=("text", "json"))
+    p.add_argument("witness", nargs="?", default=None, help="builtin witness name (W5/W7/W9)")
     p.add_argument("--witness-file", default=None, help="JSON witness file")
     p.add_argument("--n", type=int, default=None, help="qubit count (default witness dim - 1)")
     p.add_argument("--p", type=float, default=None, help="mixture parameter for the expectation")
     p.add_argument("--validate", action="store_true", help="only the product-state minimum")
     p.add_argument("--threshold", action="store_true", help="only the detection threshold")
     p.add_argument("--grid", type=_parse_grid, default=(721, 360), help="validation grid WxH")
-    output_flags(p, formats=("text", "json"))
-    p.set_defaults(func=cmd_witness)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"symppt: error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"symppt: error: {exc}", file=sys.stderr)
-        return 1
-    except _UsageError as exc:
+        args = build_parser().parse_args(argv)
+        table = args.func(args)
+        text = _render(table, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
         print(f"symppt: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"symppt: numerical failure: {exc}", file=sys.stderr)
         return 2
+    if table.violation:
+        print(table.violation, file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

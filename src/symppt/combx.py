@@ -2,9 +2,8 @@
 
 All arithmetic here is integer or rational: binomials and multinomials,
 the coefficients of the bipartite Dicke expansion (kept as exact square
-roots of rationals), a Vandermonde-convolution variant used as a test
-oracle, and the closed-form SAPPT threshold probabilities.  Floats only
-appear when a caller explicitly converts.
+roots of rationals), and the closed-form SAPPT threshold probabilities.
+Floats only appear when a caller explicitly converts.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "multinomial",
     "symmetric_dimension",
     "dicke_split_coefficient",
-    "vandermonde_convolution_sides",
     "sappt_threshold_qubits",
     "sappt_threshold_qudits",
 ]
@@ -38,20 +36,6 @@ def binomial(n: int, r: int) -> int:
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
-
-
-def _generalized_binomial(x: int, r: int) -> int:
-    """C(x, r) for possibly negative integer x, via the falling factorial.
-
-    Needed only by the Vandermonde convolution, whose right-hand side can
-    probe negative upper arguments when the summation index overshoots.
-    """
-    if r < 0:
-        return 0
-    num = 1
-    for i in range(r):
-        num *= x - i
-    return num // math.factorial(r)
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
@@ -122,24 +106,6 @@ def dicke_split_coefficient(n: int, k: int, alpha: int, beta: int) -> SqrtRation
         raise ValueError(f"dicke_split_coefficient: need 0 <= alpha <= n, got alpha={alpha}")
     num = binomial(k, alpha - beta) * binomial(n - k, beta)
     return SqrtRational(Fraction(num, math.comb(n, alpha)))
-
-
-def vandermonde_convolution_sides(alpha: int, beta: int, gamma: int) -> tuple[int, int]:
-    """Both sides of the alternate Vandermonde convolution, as a test oracle.
-
-    Returns (C(alpha+beta, gamma), sum_{j=0}^{gamma} C(alpha-j, gamma-j) *
-    C(beta+j-1, j)).  The two entries are equal for all nonnegative
-    arguments; the summand uses generalized binomials because alpha-j and
-    beta+j-1 may dip below zero.
-    """
-    if alpha < 0 or beta < 0 or gamma < 0:
-        raise ValueError("vandermonde_convolution_sides: arguments must be nonnegative")
-    lhs = binomial(alpha + beta, gamma)
-    rhs = sum(
-        _generalized_binomial(alpha - j, gamma - j) * _generalized_binomial(beta + j - 1, j)
-        for j in range(gamma + 1)
-    )
-    return lhs, rhs
 
 
 def sappt_threshold_qubits(n: int) -> Fraction:

@@ -26,6 +26,7 @@ from .symstate import (
     dicke_decomposition,
     dicke_labels,
     embed_bipartite,
+    embed_pure,
     ghz_state,
     mix_with_identity,
 )
@@ -49,7 +50,7 @@ __all__ = [
 
 HERM_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
-DEGENERACY_GAP = 1e-8
+DEGENERACY_REL = 1e-6
 QUDIT_DIM_CAP = 5000
 
 
@@ -64,17 +65,21 @@ class Spectrum:
     entries: tuple
 
     @classmethod
-    def from_eigenvalues(cls, values, gap: float = DEGENERACY_GAP) -> "Spectrum":
+    def from_eigenvalues(cls, values) -> "Spectrum":
         """Group a sorted array of numeric eigenvalues into degenerate levels.
 
-        Consecutive values closer than ``gap`` join the same level; the
-        reported value is the group mean.
+        A new level starts where the gap to the previous value exceeds
+        DEGENERACY_REL |v_i| + len(v) eps max|v|: a relative separation, plus
+        the rounding a symmetric eigensolver leaves on the whole spectrum.
+        The reported value is the group mean.
         """
         vals = np.sort(np.asarray(values, dtype=float))
+        noise = len(vals) * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)
+        new_level = np.diff(vals) > DEGENERACY_REL * np.abs(vals[1:]) + noise
         entries = []
         start = 0
         for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i] - vals[i - 1] > gap:
+            if i == len(vals) or new_level[i - 1]:
                 group = vals[start:i]
                 entries.append((float(group.mean()), len(group)))
                 start = i
@@ -279,19 +284,12 @@ def maxmixed_pt_eigenbasis(bip: Bipartition) -> list:
 def schmidt_spectrum(psi: PureSymmetricState, bip: Bipartition) -> np.ndarray:
     """Squared Schmidt coefficients of a pure state, sorted descending.
 
-    Singular values squared of the dim_a x dim_b coefficient matrix read
-    off from the bipartite decomposition; they sum to 1.
+    Singular values squared of the embedded amplitude vector reshaped to
+    the dim_a x dim_b coefficient matrix; they sum to 1.
     """
     if psi.n != bip.n or psi.d != bip.d:
         raise ValueError(f"schmidt_spectrum: state (n={psi.n}, d={psi.d}) does not match {bip}")
-    idx_a = {lab: i for i, lab in enumerate(dicke_labels(bip.k, bip.d))}
-    idx_b = {lab: i for i, lab in enumerate(dicke_labels(bip.n - bip.k, bip.d))}
-    coeff = np.zeros((bip.dim_a, bip.dim_b), dtype=complex)
-    for amp, label in zip(psi.amplitudes, dicke_labels(bip.n, bip.d)):
-        if amp == 0:
-            continue
-        for a, b, c in dicke_decomposition(bip, label):
-            coeff[idx_a[a], idx_b[b]] += amp * float(c)
+    coeff = embed_pure(psi, bip).reshape(bip.dim_a, bip.dim_b)
     sv = np.linalg.svd(coeff, compute_uv=False)
     return np.sort(sv**2)[::-1]
 

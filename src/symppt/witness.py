@@ -77,6 +77,8 @@ class Witness:
         object.__setattr__(self, "corner", float(self.corner))
         if len(diag) < 2:
             raise ValueError("Witness: diagonal needs at least 2 entries")
+        if not all(math.isfinite(x) for x in diag + (self.corner,)):
+            raise ValueError("Witness: diagonal and corner must be finite")
         if diag != diag[::-1]:
             raise ValueError("Witness: diagonal must be palindromic")
 
@@ -267,13 +269,22 @@ def witness_to_json(w: Witness) -> str:
 
 
 def witness_from_json(text: str) -> Witness:
+    """Parse {"name", "dim", "diagonal", "corner"}; malformed input raises ValueError."""
     data = json.loads(text)
-    diag = tuple(float(x) for x in data["diagonal"])
-    if "dim" in data and int(data["dim"]) != len(diag):
-        raise ValueError(
-            f"witness_from_json: declared dim {data['dim']} != diagonal length {len(diag)}"
-        )
-    return Witness(str(data.get("name", "custom")), diag, float(data["corner"]))
+    if not isinstance(data, dict):
+        raise ValueError(f"witness_from_json: expected a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("diagonal", "corner") if key not in data]
+    if missing:
+        raise ValueError(f"witness_from_json: missing key(s) {', '.join(missing)}")
+    try:
+        diag = tuple(float(x) for x in data["diagonal"])
+        corner = float(data["corner"])
+        dim = int(data.get("dim", len(diag)))
+    except TypeError as exc:
+        raise ValueError(f"witness_from_json: {exc}") from None
+    if dim != len(diag):
+        raise ValueError(f"witness_from_json: declared dim {dim} != diagonal length {len(diag)}")
+    return Witness(str(data.get("name", "custom")), diag, corner)
 
 
 def load_witness_file(path) -> Witness:

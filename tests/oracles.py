@@ -2,12 +2,14 @@
 
 Everything here deliberately avoids the closed forms under test: binomials
 come from the Pascal recurrence, bipartite Dicke coefficients from literal
-enumeration of computational-basis strings, and the partial transpose from
-an explicit four-index shuffle.
+enumeration of computational-basis strings, the partial transpose from
+an explicit four-index shuffle, and the alternate Vandermonde convolution
+from generalized binomials.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,38 @@ def pascal_triangle(nmax: int) -> list:
         prev = rows[-1]
         rows.append([1] + [prev[i - 1] + prev[i] for i in range(1, n)] + [1])
     return rows
+
+
+def _generalized_binomial(x: int, r: int) -> int:
+    """C(x, r) for possibly negative integer x, via the falling factorial.
+
+    Needed only by the Vandermonde convolution, whose right-hand side can
+    probe negative upper arguments when the summation index overshoots.
+    """
+    if r < 0:
+        return 0
+    num = 1
+    for i in range(r):
+        num *= x - i
+    return num // math.factorial(r)
+
+
+def vandermonde_convolution_sides(alpha: int, beta: int, gamma: int) -> tuple[int, int]:
+    """Both sides of the alternate Vandermonde convolution.
+
+    Returns (C(alpha+beta, gamma), sum_{j=0}^{gamma} C(alpha-j, gamma-j) *
+    C(beta+j-1, j)).  The two entries are equal for all nonnegative
+    arguments; the summand uses generalized binomials because alpha-j and
+    beta+j-1 may dip below zero.
+    """
+    if alpha < 0 or beta < 0 or gamma < 0:
+        raise ValueError("vandermonde_convolution_sides: arguments must be nonnegative")
+    lhs = math.comb(alpha + beta, gamma)
+    rhs = sum(
+        _generalized_binomial(alpha - j, gamma - j) * _generalized_binomial(beta + j - 1, j)
+        for j in range(gamma + 1)
+    )
+    return lhs, rhs
 
 
 def multiset_strings(occupation):

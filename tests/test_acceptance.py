@@ -40,10 +40,9 @@ from symppt import (
     qudit_min_eig_check,
     sappt_threshold_qubits,
     schmidt_spectrum,
-    vandermonde_convolution_sides,
 )
 
-from oracles import random_pure
+from oracles import random_pure, vandermonde_convolution_sides
 
 
 def criterion(num, name, budget=None):

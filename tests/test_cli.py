@@ -52,6 +52,13 @@ class TestTable1:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "t.csv"
+        code, out, err = run(capsys, ["table1", "--nmax", "4", "--out", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("symppt: error: ") and len(err.splitlines()) == 1
+
     def test_range_validation(self, capsys):
         code, _, err = run(capsys, ["table1", "--nmax", "3"])
         assert code == 1
@@ -96,6 +103,16 @@ class TestSpectrum:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [int(r[1]) for r in rows] == [5, 3, 1]
         assert float(rows[0][0]) == pytest.approx(1 / 30, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["numeric", "both"])
+    @pytest.mark.parametrize("n", range(30, 41))
+    def test_closed_form_multiplicities_large_n(self, capsys, n, mode):
+        code, out, err = run(capsys, ["spectrum", "--n", str(n), "--mode", mode])
+        assert code == 0, err
+        header, *rows = out.splitlines()
+        col = header.split(",").index("multiplicity")
+        mults = [int(row.split(",")[col]) for row in rows]
+        assert mults == [n + 1 - 2 * j for j in range(n // 2 + 1)]
 
     def test_invalid_bipartition(self, capsys):
         code, _, err = run(capsys, ["spectrum", "--n", "5", "--k", "3"])
@@ -223,6 +240,39 @@ class TestWitnessCommand:
         code, _, err = run(capsys, ["witness"])
         assert code == 1
         assert "witness" in err
+
+
+BAD_WITNESS_FILES = {
+    "missing-corner": '{"diagonal": [1, 0, 1]}',
+    "missing-diagonal": '{"corner": -1}',
+    "not-an-object": "[1, 0, 1]",
+    "corner-inf": '{"diagonal": [1, 0, 1], "corner": "inf"}',
+    "corner-nan": '{"diagonal": [1, 0, 1], "corner": "nan"}',
+    "diagonal-infinity": '{"diagonal": [Infinity, 0, Infinity], "corner": -1}',
+    "missing-file": None,
+    "directory": "",
+}
+
+
+class TestWitnessFileErrors:
+    @pytest.mark.parametrize("command", ["witness", "scan"])
+    @pytest.mark.parametrize("case", sorted(BAD_WITNESS_FILES))
+    def test_exits_1_with_one_error_line(self, capsys, tmp_path, case, command):
+        content = BAD_WITNESS_FILES[case]
+        path = tmp_path / "w.json"
+        if case == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_text(content, encoding="utf-8")
+        argv = [command, "--witness-file", str(path)]
+        if command == "scan":
+            argv += ["--p-from", "0.5", "--p-to", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("symppt: error: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestParsing:

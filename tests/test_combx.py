@@ -13,10 +13,9 @@ from symppt import (
     sappt_threshold_qubits,
     sappt_threshold_qudits,
     symmetric_dimension,
-    vandermonde_convolution_sides,
 )
 
-from oracles import pascal_triangle
+from oracles import pascal_triangle, vandermonde_convolution_sides
 
 
 class TestBinomial:

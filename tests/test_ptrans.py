@@ -187,6 +187,10 @@ class TestSpectrumGrouping:
         spec = Spectrum.from_eigenvalues([0.1, 0.1 + 1e-12, 0.5, 0.5, 0.9])
         assert [(round(v, 6), m) for v, m in spec.entries] == [(0.1, 2), (0.5, 2), (0.9, 1)]
 
+    def test_levels_below_any_absolute_gap_stay_apart(self):
+        spec = Spectrum.from_eigenvalues([2e-10, 2e-10, 6.2e-9, 6.2e-9, 0.05])
+        assert [m for _, m in spec.entries] == [2, 2, 1]
+
     def test_dimension(self):
         assert Spectrum.from_eigenvalues([1.0, 2.0, 2.0]).dimension == 3
 

@@ -5,12 +5,15 @@ partial transposition of the k-particle side.  For qubits its full
 eigendecomposition is known in closed form: eigenvalues
 C(n+1, j) / [(n+1) C(n, k)] with multiplicity n+1-2j for j = 0..k, with
 eigenvectors generated by a ladder-operator construction.  This module
-implements that construction, the numeric routes used to cross-check it,
-Schmidt data of pure states, and the qudit minimum-eigenvalue check.
+implements that construction and the numeric assembly that cross-checks
+it: the weight blocks, built from the float split coefficients, with the
+dense matrix as their scatter.  It also provides Schmidt data of pure
+states and the qudit minimum-eigenvalue check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +26,7 @@ from .symstate import (
     BipartiteOperator,
     PureSymmetricState,
     SymmetricDensityMatrix,
+    _label_index,
     dicke_decomposition,
     dicke_labels,
     embed_bipartite,
@@ -51,7 +55,7 @@ __all__ = [
 HERM_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 DEGENERACY_REL = 1e-6
-QUDIT_DIM_CAP = 5000
+DIM_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -140,75 +144,52 @@ def min_eigenvalue(op: BipartiteOperator, herm_tol: float = HERM_TOL) -> float:
     return float(w[0])
 
 
-def _pt_triplets(bip: Bipartition):
-    """Yield (row_pair, col_pair, value) entries of the transposed uniform state.
-
-    Each sector basis label decomposes into bipartite components
-    (a_i, b_i, c_i); partial transposition swaps the A-side labels between
-    bra and ket, producing the entry c_i c_j / D at row (a_j, b_i),
-    column (a_i, b_j).  Both pairs share the label difference a - b, which
-    is the conserved weight used for block diagonalization.
-    """
-    n, d = bip.n, bip.d
-    dim_sector = symmetric_dimension(n, d)
-    for label in dicke_labels(n, d):
-        parts = dicke_decomposition(bip, label)
-        coeffs = [float(c) for _, _, c in parts]
-        for i, (a_i, b_i, _) in enumerate(parts):
-            for j, (a_j, b_j, _) in enumerate(parts):
-                yield (a_j, b_i), (a_i, b_j), coeffs[i] * coeffs[j] / dim_sector
-
-
-def _pair_index(bip: Bipartition):
-    idx_a = {lab: i for i, lab in enumerate(dicke_labels(bip.k, bip.d))}
-    idx_b = {lab: i for i, lab in enumerate(dicke_labels(bip.n - bip.k, bip.d))}
-    return lambda a, b: idx_a[a] * bip.dim_b + idx_b[b]
-
-
 def maxmixed_pt(bip: Bipartition) -> BipartiteOperator:
-    """Partial transpose of the uniform symmetric state, assembled directly.
+    """Partial transpose of the uniform symmetric state as a dense matrix.
 
-    Built from the double sum over split coefficients rather than by
-    transposing the embedded identity; the two routes agree to rounding
-    and are compared in the test suite.
+    The scatter of maxmixed_pt_blocks into a zero matrix: entries between
+    pairs of different weight are exactly zero.  The test suite compares it
+    with the partial transpose of the embedded uniform state.
     """
-    index = _pair_index(bip)
+    blocks = maxmixed_pt_blocks(bip)
     mat = np.zeros((bip.dim, bip.dim))
-    for row, col, val in _pt_triplets(bip):
-        mat[index(*row), index(*col)] += val
+    for indices, block in blocks:
+        mat[np.ix_(indices, indices)] = block
     return BipartiteOperator(bip, mat)
-
-
-def _weight_key(a, b):
-    if isinstance(a, tuple):
-        return tuple(x - y for x, y in zip(a, b))
-    return a - b
 
 
 def maxmixed_pt_blocks(bip: Bipartition):
     """Weight-resolved blocks of the transposed uniform state.
 
-    Entries couple only pairs with equal label difference a - b, so the
-    matrix is block diagonal over that key.  Returns a list of
+    Each sector label m decomposes as sum_{a+b=m} c(a, b) |a>|b>, and
+    partial transposition of the A side gives the entry
+    c(a_s, b_r) c(a_r, b_s) / D at row (a_r, b_r), column (a_s, b_s).  It is
+    nonzero only when both pairs share the label difference a - b, so the
+    matrix is block diagonal over that weight.  Returns a list of
     (pair_indices, block) with pair_indices into the row-major bipartite
-    basis; eigenvalues of the blocks are exactly those of the full matrix.
+    basis, blocks in first-appearance order; eigenvalues of the blocks are
+    exactly those of the full matrix.  Bipartite dimensions above DIM_CAP
+    are rejected before anything is built.
     """
-    labels_a = dicke_labels(bip.k, bip.d)
-    labels_b = dicke_labels(bip.n - bip.k, bip.d)
-    slot = {}
+    if bip.dim > DIM_CAP:
+        raise ValueError(f"maxmixed_pt_blocks: bipartite dimension {bip.dim} exceeds cap {DIM_CAP}")
+    index_a = _label_index(bip.k, bip.d)
+    index_b = _label_index(bip.n - bip.k, bip.d)
+    coeffs = np.zeros((bip.dim_a, bip.dim_b))
+    for label in dicke_labels(bip.n, bip.d):
+        for a, b, coeff in dicke_decomposition(bip, label):
+            coeffs[index_a[a], index_b[b]] = float(coeff)
     groups = {}
-    for ia, a in enumerate(labels_a):
-        for ib, b in enumerate(labels_b):
-            key = _weight_key(a, b)
-            members = groups.setdefault(key, [])
-            slot[(a, b)] = (key, len(members))
-            members.append(ia * bip.dim_b + ib)
-    blocks = {key: np.zeros((len(m), len(m))) for key, m in groups.items()}
-    for row, col, val in _pt_triplets(bip):
-        key, r = slot[row]
-        _, c = slot[col]
-        blocks[key][r, c] += val
-    return [(tuple(groups[key]), blocks[key]) for key in groups]
+    for i, (a, b) in enumerate(itertools.product(index_a, index_b)):
+        weight = a - b if bip.d == 2 else tuple(x - y for x, y in zip(a, b))
+        groups.setdefault(weight, []).append(i)
+    dim_sector = symmetric_dimension(bip.n, bip.d)
+    blocks = []
+    for members in groups.values():
+        ia, ib = np.divmod(np.array(members), bip.dim_b)
+        block = coeffs[ia[None, :], ib[:, None]] * coeffs[ia[:, None], ib[None, :]] / dim_sector
+        blocks.append((tuple(members), block))
+    return blocks
 
 
 def maxmixed_pt_spectrum(bip: Bipartition) -> Spectrum:
@@ -337,13 +318,9 @@ def qudit_min_eig_check(n: int, d: int, k: int) -> tuple[float, Fraction]:
 
     The numeric side diagonalizes the exact weight blocks (never the
     conjectured formula), so the two routes stay independent.  Bipartite
-    dimensions above 5000 are rejected.
+    dimensions above DIM_CAP are rejected.
     """
     bip = Bipartition(n, k, d)
-    if bip.dim > QUDIT_DIM_CAP:
-        raise ValueError(
-            f"qudit_min_eig_check: bipartite dimension {bip.dim} exceeds cap {QUDIT_DIM_CAP}"
-        )
     best = None
     best_block = None
     for _, block in maxmixed_pt_blocks(bip):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,37 +146,10 @@ def product_state_expectation(w: Witness, theta: float, phi: float) -> float:
     return float(f[0] + 2 * w.corner * g[0] * math.cos(w.n * phi))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SYMPPT_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def _grid_values(w: Witness, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Witness expectation on a theta x phi product grid.
-
-    Rows are processed in fixed chunks; SYMPPT_THREADS caps how many run
-    concurrently, and results land in a preallocated array, so the output
-    never depends on scheduling.
-    """
-    cos_part = np.cos(w.n * phis)
-    out = np.empty((len(thetas), len(phis)))
-    threads = min(_thread_count(), len(thetas))
-
-    def fill(lo, hi):
-        f, g = _profile(w, thetas[lo:hi])
-        out[lo:hi] = f[:, None] + 2 * w.corner * g[:, None] * cos_part[None, :]
-
-    if threads <= 1:
-        fill(0, len(thetas))
-    else:
-        step = -(-len(thetas) // threads)
-        bounds = [(i, min(i + step, len(thetas))) for i in range(0, len(thetas), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda se: fill(*se), bounds))
-    return out
+    """Witness expectation on a theta x phi product grid."""
+    f, g = _profile(w, thetas)
+    return f[:, None] + 2 * w.corner * g[:, None] * np.cos(w.n * phis)[None, :]
 
 
 def _golden_min(f, lo: float, hi: float, tol: float):

@@ -1,11 +1,12 @@
 """Command-line behavior: content, determinism, exit codes."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from symppt import builtin_witness, witness_to_json
+from symppt import builtin_witness, cli, witness_to_json
 from symppt.cli import main
 
 
@@ -119,6 +120,15 @@ class TestSpectrum:
         assert code == 1
         assert "k" in err
 
+    @pytest.mark.parametrize("mode", ["numeric", "both"])
+    def test_dimension_cap(self, capsys, mode):
+        code, out, err = run(capsys, ["spectrum", "--n", "2000", "--mode", mode])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("symppt: error: ")
+        assert "exceeds cap 5000" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestScan:
     def test_reference_rows(self, capsys):
@@ -195,6 +205,31 @@ class TestQuditCheck:
     def test_argument_validation(self, capsys):
         code, _, _ = run(capsys, ["qudit-check", "--d", "1"])
         assert code == 1
+
+    def test_reports_skipped_cuts(self, capsys):
+        code, out, err = run(capsys, ["qudit-check", "--d", "30", "--nmax", "3"])
+        assert code == 0
+        assert [line.split(",")[:3] for line in out.splitlines()[1:]] == [["2", "1", "900"]]
+        assert err == "qudit-check: skipped 1 of 2 cuts: bipartite dimension above 5000\n"
+
+    @pytest.mark.parametrize("rel_error,expected_code", [(5e-10, 0), (2e-9, 2)])
+    def test_relative_tolerance(self, capsys, monkeypatch, rel_error, expected_code):
+        # A relative error of 2e-9 stays below 1e-8 in absolute terms on
+        # every cut, so only a bound relative to the conjectured value sees it.
+        def perturbed(n, d, k):
+            conjectured = Fraction(1, math.comb(n + d - 1, d - 1) * math.comb(n, k))
+            return float(conjectured) * (1 + rel_error), conjectured
+
+        monkeypatch.setattr(cli, "qudit_min_eig_check", perturbed)
+        code, _, err = run(capsys, ["qudit-check", "--d", "3", "--nmax", "8"])
+        assert code == expected_code, err
+
+    def test_eigensolver_rounding_allowed(self, capsys):
+        # At n = 60 the minimum eigenvalue is about 1e-19, so 1e-9 of it is
+        # far below the ~1e-17 eigvalsh leaves on blocks of norm ~0.1.
+        code, _, err = run(capsys, ["qudit-check", "--d", "2", "--nmax", "60"])
+        assert code == 0, err
+        assert err == ""
 
 
 class TestWitnessCommand:

@@ -128,19 +128,27 @@ class TestMaxmixedPt:
                 assert np.max(np.abs(maxmixed_pt(bip).matrix - via_embed)) < 1e-14
 
     def test_blocks_reassemble_to_dense(self):
-        for n, k, d in [(6, 3, 2), (4, 2, 3), (3, 1, 4)]:
+        # The oracle is the transposed embedding, built via embedding_matrix,
+        # not maxmixed_pt, which is itself the scatter of the blocks.
+        from symppt import SymmetricDensityMatrix
+
+        for n, k, d in [(6, 3, 2), (4, 2, 3), (3, 1, 4), (6, 3, 3)]:
             bip = Bipartition(n, k, d)
-            dense = maxmixed_pt(bip).matrix
-            rebuilt = np.zeros_like(dense)
+            dim = symmetric_dimension(n, d)
+            uniform = SymmetricDensityMatrix(n, d, np.eye(dim, dtype=complex) / dim)
+            via_embed = partial_transpose_a(embed_bipartite(uniform, bip)).matrix
+            inside = np.zeros((bip.dim, bip.dim), dtype=bool)
             for indices, block in maxmixed_pt_blocks(bip):
-                idx = np.array(indices)
-                rebuilt[np.ix_(idx, idx)] = block
-            assert np.array_equal(rebuilt, dense)
+                idx = np.ix_(indices, indices)
+                assert np.max(np.abs(block - via_embed[idx])) < 1e-14, (n, k, d)
+                inside[idx] = True
+            assert np.all(via_embed[~inside] == 0), (n, k, d)
 
     def test_block_sizes_cover_space(self):
-        bip = Bipartition(5, 2)
-        total = sum(len(idx) for idx, _ in maxmixed_pt_blocks(bip))
-        assert total == bip.dim
+        for n, k, d in [(5, 2, 2), (6, 3, 3), (5, 2, 4)]:
+            bip = Bipartition(n, k, d)
+            indices = [i for idx, _ in maxmixed_pt_blocks(bip) for i in idx]
+            assert sorted(indices) == list(range(bip.dim)), (n, k, d)
 
 
 class TestAnalyticSpectrum:
@@ -437,6 +445,8 @@ class TestQuditMinEig:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             qudit_min_eig_check(20, 4, 10)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            maxmixed_pt(Bipartition(2000, 1000))
 
 
 def test_sappt_threshold_consistency_with_corner_vector():

@@ -196,12 +196,6 @@ class TestMinimizeOverProducts:
         )
         assert val <= brute + 1e-9
 
-    def test_threads_do_not_change_result(self, monkeypatch):
-        w = builtin_witness("W9")
-        base = minimize_over_products(w)
-        monkeypatch.setenv("SYMPPT_THREADS", "4")
-        assert minimize_over_products(w) == base
-
     def test_too_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
             minimize_over_products(builtin_witness("W5"), grid=(2, 1))

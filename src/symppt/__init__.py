@@ -29,7 +29,6 @@ from .ptrans import (
     partial_transpose_a,
     qudit_min_eig_check,
     schmidt_spectrum,
-    spectrum_to_json,
 )
 from .symstate import (
     Bipartition,

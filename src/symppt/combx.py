@@ -89,9 +89,6 @@ class SqrtRational:
     def squared(self) -> Fraction:
         return self.radicand
 
-    def is_zero(self) -> bool:
-        return self.radicand == 0
-
 
 def dicke_split_coefficient(n: int, k: int, alpha: int, beta: int) -> SqrtRational:
     """Coefficient of |D_k^(alpha-beta)>|D_{n-k}^(beta)> in the k|n-k split

@@ -13,7 +13,6 @@ states and the qudit minimum-eigenvalue check.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,14 +24,13 @@ from .symstate import (
     Bipartition,
     BipartiteOperator,
     PureSymmetricState,
-    SymmetricDensityMatrix,
-    _label_index,
-    dicke_decomposition,
+    dicke_decomposition,  # unused here; perfbench/tracing.py wraps ptrans.dicke_decomposition
     dicke_labels,
     embed_bipartite,
     embed_pure,
     ghz_state,
     mix_with_identity,
+    split_coefficients,
 )
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "mixture_min_eig_bound",
     "ghz_corner_eigencheck",
     "qudit_min_eig_check",
-    "spectrum_to_json",
 ]
 
 HERM_TOL = 1e-10
@@ -125,7 +122,7 @@ def partial_transpose_a(op: BipartiteOperator) -> BipartiteOperator:
     return BipartiteOperator(op.bipartition, mat.copy())
 
 
-def min_eigenvalue(op: BipartiteOperator, herm_tol: float = HERM_TOL) -> float:
+def min_eigenvalue(op: BipartiteOperator) -> float:
     """Smallest eigenvalue of a Hermitian bipartite operator.
 
     The input is symmetrized before diagonalization to guard against
@@ -133,7 +130,7 @@ def min_eigenvalue(op: BipartiteOperator, herm_tol: float = HERM_TOL) -> float:
     satisfy ||H v - lam v|| <= 1e-10.
     """
     mat = op.matrix
-    if np.max(np.abs(mat - mat.conj().T)) > herm_tol:
+    if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
         raise ValueError("min_eigenvalue: operator is not Hermitian within tolerance")
     herm = (mat + mat.conj().T) / 2
     w, v = np.linalg.eigh(herm)
@@ -173,15 +170,13 @@ def maxmixed_pt_blocks(bip: Bipartition):
     """
     if bip.dim > DIM_CAP:
         raise ValueError(f"maxmixed_pt_blocks: bipartite dimension {bip.dim} exceeds cap {DIM_CAP}")
-    index_a = _label_index(bip.k, bip.d)
-    index_b = _label_index(bip.n - bip.k, bip.d)
-    coeffs = np.zeros((bip.dim_a, bip.dim_b))
-    for label in dicke_labels(bip.n, bip.d):
-        for a, b, coeff in dicke_decomposition(bip, label):
-            coeffs[index_a[a], index_b[b]] = float(coeff)
+    coeffs = split_coefficients(bip)
+    labels_a = np.array(dicke_labels(bip.k, bip.d))
+    labels_b = np.array(dicke_labels(bip.n - bip.k, bip.d))
+    # Counts (qubits) and occupation tuples (qudits) subtract alike.
+    weights = (labels_a[:, None] - labels_b[None, :]).reshape(bip.dim, -1)
     groups = {}
-    for i, (a, b) in enumerate(itertools.product(index_a, index_b)):
-        weight = a - b if bip.d == 2 else tuple(x - y for x, y in zip(a, b))
+    for i, weight in enumerate(map(tuple, weights.tolist())):
         groups.setdefault(weight, []).append(i)
     dim_sector = symmetric_dimension(bip.n, bip.d)
     blocks = []
@@ -328,6 +323,7 @@ def qudit_min_eig_check(n: int, d: int, k: int) -> tuple[float, Fraction]:
         if best is None or w[0] < best:
             best = float(w[0])
             best_block = block
+    # eigh only feeds the residual check; reporting its value changes printed digits on some cuts.
     herm = (best_block + best_block.T) / 2
     w, v = np.linalg.eigh(herm)
     if np.linalg.norm(herm @ v[:, 0] - w[0] * v[:, 0]) > RESIDUAL_TOL:
@@ -335,15 +331,3 @@ def qudit_min_eig_check(n: int, d: int, k: int) -> tuple[float, Fraction]:
     conjectured = Fraction(1, symmetric_dimension(n, d) * math.comb(n, k))
     return best, conjectured
 
-
-def spectrum_to_json(spectrum: Spectrum, bip: Bipartition) -> dict:
-    """JSON-ready dict: {"n", "k", "entries": [{"value", "multiplicity"}]}.
-
-    Exact rational values serialize as "num/den" strings, floats as
-    numbers.
-    """
-    entries = []
-    for value, mult in spectrum.entries:
-        out = str(value) if isinstance(value, Fraction) else float(value)
-        entries.append({"value": out, "multiplicity": mult})
-    return {"n": bip.n, "k": bip.k, "entries": entries}

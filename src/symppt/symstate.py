@@ -4,8 +4,8 @@ States of n qubits (or qudits) restricted to the symmetric sector are
 stored as length-D amplitude vectors or D x D density matrices, D being
 the sector dimension.  The central operation is the isometric embedding
 of the sector into the tensor product of the two symmetric sectors of a
-k | n-k bipartition, driven by the exact split coefficients of
-:mod:`symppt.combx`.
+k | n-k bipartition, driven by the split coefficients: exact in
+``dicke_decomposition``, as floats in ``split_coefficients``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "ghz_state",
     "coherent_state",
     "mix_with_identity",
+    "split_coefficients",
     "embedding_matrix",
     "embed_bipartite",
     "embed_pure",
@@ -101,9 +102,10 @@ def dicke_labels(n: int, d: int) -> tuple:
     return tuple(compositions(n, d))
 
 
-@functools.lru_cache(maxsize=None)
-def _label_index(n: int, d: int) -> dict:
-    return {lab: i for i, lab in enumerate(dicke_labels(n, d))}
+def _occupations(n: int, d: int) -> tuple:
+    """dicke_labels(n, d) as occupation tuples: a qubit count alpha is (n - alpha, alpha)."""
+    labels = dicke_labels(n, d)
+    return tuple((n - alpha, alpha) for alpha in labels) if d == 2 else labels
 
 
 @dataclass(frozen=True)
@@ -283,22 +285,39 @@ def mix_with_identity(n: int, p: float, psi: PureSymmetricState) -> SymmetricDen
     return SymmetricDensityMatrix(n, psi.d, mat)
 
 
-@functools.lru_cache(maxsize=None)
+def _sector_columns(bip: Bipartition) -> list:
+    """Sector label index of a + b for every pair (a, b), in row-major order."""
+    column = {m: i for i, m in enumerate(_occupations(bip.n, bip.d))}
+    occ_a, occ_b = _occupations(bip.k, bip.d), _occupations(bip.n - bip.k, bip.d)
+    return [column[tuple(map(operator.add, a, b))] for a in occ_a for b in occ_b]
+
+
+def split_coefficients(bip: Bipartition) -> np.ndarray:
+    """Float split coefficients c(a, b) = sqrt( M(k; a) M(n-k; b) / M(n; a+b) ).
+
+    A dim_a x dim_b table over the A- and B-side labels, from one Python-int
+    multinomial per row, column and sector label.  int / int true division
+    and float(Fraction) are both correctly rounded, so each entry is float()
+    of the dicke_decomposition coefficient, bit for bit.
+    """
+    rows = [multinomial(bip.k, a) for a in _occupations(bip.k, bip.d)]
+    cols = [multinomial(bip.n - bip.k, b) for b in _occupations(bip.n - bip.k, bip.d)]
+    sector = [multinomial(bip.n, m) for m in _occupations(bip.n, bip.d)]
+    products = (x * y for x in rows for y in cols)
+    table = [math.sqrt(num / sector[m]) for num, m in zip(products, _sector_columns(bip))]
+    return np.array(table).reshape(bip.dim_a, bip.dim_b)
+
+
 def embedding_matrix(n: int, k: int, d: int = 2) -> np.ndarray:
     """Isometry V from the symmetric sector into the bipartite product space.
 
-    Column alpha holds the dicke_decomposition image of basis label alpha;
-    V^T V = identity because the split coefficients are normalized and
-    images of distinct labels occupy disjoint (a, b) cells.
+    The scatter of split_coefficients: row a * dim_b + b holds c(a, b) in
+    the column of label a + b.  V^T V = identity since each label's
+    coefficients are normalized and distinct labels own disjoint rows.
     """
     bip = Bipartition(n, k, d)
-    idx_a = _label_index(k, d)
-    idx_b = _label_index(n - k, d)
     v = np.zeros((bip.dim, symmetric_dimension(n, d)))
-    for col, label in enumerate(dicke_labels(n, d)):
-        for a, b, coeff in dicke_decomposition(bip, label):
-            v[idx_a[a] * bip.dim_b + idx_b[b], col] = float(coeff)
-    v.flags.writeable = False
+    v[np.arange(bip.dim), _sector_columns(bip)] = split_coefficients(bip).ravel()
     return v
 
 

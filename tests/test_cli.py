@@ -1,10 +1,14 @@
 """Command-line behavior: content, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symppt import builtin_witness, cli, witness_to_json
 from symppt.cli import main
@@ -323,3 +327,77 @@ class TestParsing:
         code, _, err = run(capsys, ["witness", "W5", "--grid", "721"])
         assert code == 1
         assert "grid" in err
+
+
+# A bounded argv grammar: each subcommand with its required flags and a
+# random subset of the others.  Per flag: (valid values, malformed values);
+# None is a bare switch and "" the positional witness name.  At most one
+# flag per example takes a malformed value (nan, inf, non-numbers,
+# negatives, bad choices), or one unknown flag is added.  Grids stay small,
+# so no example runs the default 721x360 product-state search.
+COUNT = ["-3", "0", "x", "nan", "inf", "2.5"]
+GRAMMAR = {
+    "table1": {"--nmax": (["4", "6", "14"], ["3", "15", "-1", "x", "nan"])},
+    "spectrum": {
+        "--n": (["2", "5", "9"], COUNT),
+        "--k": (["1", "2", "4"], COUNT + ["9"]),
+        "--mode": (["analytic", "numeric", "both"], ["exact"]),
+    },
+    "scan": {
+        "--witness": (["W5", "W7", "W9"], ["W4", "x"]),
+        "--p-from": (["0", "0.5", "0.97"], ["-0.1", "nan", "inf", "x"]),
+        "--p-to": (["0.97", "1"], ["1.5", "-inf", "nan", "x"]),
+        "--n": (["5", "7", "9"], COUNT),
+        "--k": (["1", "2"], COUNT + ["9"]),
+        "--steps": (["1", "5"], ["0", "-2", "x", "nan"]),
+    },
+    "qudit-check": {
+        "--d": (["2", "3", "4"], ["1", "-1", "x", "nan"]),
+        "--nmax": (["2", "4", "6"], ["-1", "1", "x", "inf"]),
+    },
+    "witness": {
+        "": (["W5", "W7", "W9"], ["W4", "x"]),
+        "--grid": (["5x3", "12x6"], ["0x0", "-2x4", "3", "x", "nanxnan"]),
+        "--n": (["5", "7", "9"], COUNT),
+        "--p": (["0.5", "0.97", "1"], ["-0.1", "1.5", "nan", "inf", "x"]),
+        "--validate": ([None], [None]),
+        "--threshold": ([None], [None]),
+    },
+}
+# The first REQUIRED[command] flags are always given.  For qudit-check that
+# includes --nmax, since the default of 15 takes about a second at d = 4.
+REQUIRED = {"table1": 0, "spectrum": 1, "scan": 3, "qudit-check": 2, "witness": 2}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    options = dict(GRAMMAR[command], **{"--format": (["csv", "json", "text"], ["xml"])})
+    required = list(options)[: REQUIRED[command]]
+    optional = sorted(set(options) - set(required))
+    flags = required + draw(st.lists(st.sampled_from(optional), unique=True))
+    bad = draw(st.sampled_from([None, "--bogus"] + flags))
+    argv = [command] + (["--bogus", "1"] if bad == "--bogus" else [])
+    for flag in flags:
+        value = draw(st.sampled_from(options[flag][flag == bad]))
+        argv += [v for v in (flag, value) if v]
+    return argv
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCliProperties:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(argv=argvs())
+    def test_exit_codes_and_determinism(self, argv):
+        code, out, err = run_quiet(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 1:
+            assert len(err.splitlines()) == 1, (argv, err)
+        assert run_quiet(argv) == (code, out, err), argv

@@ -25,7 +25,6 @@ from symppt import (
     qudit_min_eig_check,
     sappt_threshold_qubits,
     schmidt_spectrum,
-    spectrum_to_json,
     symmetric_dimension,
 )
 
@@ -128,8 +127,10 @@ class TestMaxmixedPt:
                 assert np.max(np.abs(maxmixed_pt(bip).matrix - via_embed)) < 1e-14
 
     def test_blocks_reassemble_to_dense(self):
-        # The oracle is the transposed embedding, built via embedding_matrix,
-        # not maxmixed_pt, which is itself the scatter of the blocks.
+        # The embedding and the blocks read the same split_coefficients
+        # table, so this checks the block assembly, not the coefficients.
+        # Those have an independent chain in test_symstate: brute-force
+        # strings -> dicke_decomposition -> split_coefficients.
         from symppt import SymmetricDensityMatrix
 
         for n, k, d in [(6, 3, 2), (4, 2, 3), (3, 1, 4), (6, 3, 3)]:
@@ -201,21 +202,6 @@ class TestSpectrumGrouping:
 
     def test_dimension(self):
         assert Spectrum.from_eigenvalues([1.0, 2.0, 2.0]).dimension == 3
-
-    def test_json_rational_and_float(self):
-        bip = Bipartition(5, 2)
-        out = spectrum_to_json(maxmixed_pt_spectrum(bip), bip)
-        assert out == {
-            "n": 5,
-            "k": 2,
-            "entries": [
-                {"value": "1/60", "multiplicity": 6},
-                {"value": "1/10", "multiplicity": 4},
-                {"value": "1/4", "multiplicity": 2},
-            ],
-        }
-        numeric = spectrum_to_json(Spectrum.from_eigenvalues([0.25, 0.5]), bip)
-        assert numeric["entries"][0] == {"value": 0.25, "multiplicity": 1}
 
 
 class TestLadderOperators:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symppt import (
     Bipartition,
@@ -23,6 +25,7 @@ from symppt import (
     state_to_json,
     symmetric_dimension,
 )
+from symppt.symstate import split_coefficients
 
 from oracles import brute_split_overlaps, qubit_occupation, random_density, random_pure
 
@@ -184,6 +187,34 @@ class TestMixWithIdentity:
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
             mix_with_identity(5, 1.2, ghz_state(5))
+
+
+# Every k | n-k cut with d = 2, n <= 30; d = 3, n <= 9; d = 4, n <= 7.
+TABLE_CUTS = [
+    Bipartition(n, k, d)
+    for d, nmax in ((2, 30), (3, 9), (4, 7))
+    for n in range(2, nmax + 1)
+    for k in range(1, n // 2 + 1)
+]
+
+
+class TestSplitCoefficients:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(bip=st.sampled_from(TABLE_CUTS))
+    def test_table_and_embedding_equal_exact_decomposition(self, bip):
+        # dicke_decomposition is checked against string enumeration above;
+        # the float table and its scatter, the embedding, must hold float()
+        # of its exact coefficients, bit for bit.
+        table = split_coefficients(bip)
+        v = embedding_matrix(bip.n, bip.k, bip.d)
+        row = {a: i for i, a in enumerate(dicke_labels(bip.k, bip.d))}
+        col = {b: j for j, b in enumerate(dicke_labels(bip.n - bip.k, bip.d))}
+        assert table.shape == (bip.dim_a, bip.dim_b)
+        assert np.count_nonzero(v) == bip.dim
+        for m, label in enumerate(dicke_labels(bip.n, bip.d)):
+            for a, b, coeff in dicke_decomposition(bip, label):
+                assert table[row[a], col[b]] == float(coeff), (bip, a, b)
+                assert v[row[a] * bip.dim_b + col[b], m] == float(coeff), (bip, a, b)
 
 
 class TestEmbedding:

@@ -21,14 +21,22 @@ from .combx import sappt_threshold_qubits, symmetric_dimension
 from .ptrans import (
     DIM_CAP,
     Spectrum,
+    _min_eigenvalues,
     maxmixed_pt,
     maxmixed_pt_spectrum,
-    min_eigenvalue,
+    min_eigenvalue,  # unused here; perfbench/tracing.py wraps cli.min_eigenvalue
     partial_transpose_a,
     qudit_min_eig_check,
 )
-from .symstate import Bipartition, BipartiteOperator, embed_bipartite
+from .symstate import (
+    Bipartition,
+    BipartiteOperator,  # unused here; perfbench/tracing.py wraps cli.BipartiteOperator
+    _check_operators,
+    embed_bipartite,
+)
 from .witness import (
+    _expectations,
+    _ghz_mixtures,
     builtin_witness,
     detection_threshold,
     expectation_value,
@@ -40,6 +48,11 @@ from .witness import (
 SPECTRUM_BOTH_TOL = 1e-10
 QUDIT_CHECK_REL_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
+# The p grid is checked against this cap before it is allocated.
+SCAN_STEPS_CAP = 100_000
+# One chunk's stack of transposed states, in bytes: it bounds the memory a scan
+# holds at once, whatever the dimension or the number of steps.
+SCAN_CHUNK_BYTES = 100 * 1024
 
 # Fourth column of the reference table: entanglement boundary obtained
 # upstream with a truncated-moment semidefinite method.  Those values are
@@ -171,11 +184,18 @@ def cmd_spectrum(args) -> Table:
     return Table(header, "entries", columns, rows, trailer, csv_columns, violation=violation)
 
 
+def _scan_chunk(dim: int) -> int:
+    """p values per chunk: as many dim x dim complex matrices as SCAN_CHUNK_BYTES holds."""
+    return max(1, SCAN_CHUNK_BYTES // (16 * dim * dim))
+
+
 def cmd_scan(args) -> Table:
     if not (0 <= args.p_from <= args.p_to <= 1):
         raise ValueError(f"scan: need 0 <= p-from <= p-to <= 1, got [{args.p_from}, {args.p_to}]")
     if args.steps < 1:
         raise ValueError(f"scan: steps must be >= 1, got {args.steps}")
+    if args.steps > SCAN_STEPS_CAP:
+        raise ValueError(f"scan: steps must be <= {SCAN_STEPS_CAP}, got {args.steps}")
     w, n = _resolve_witness(args)
     bip = Bipartition(n, args.k if args.k is not None else n // 2)
     p_min = float(sappt_threshold_qubits(n))
@@ -185,12 +205,18 @@ def cmd_scan(args) -> Table:
     pt_uniform = maxmixed_pt(bip).matrix
     pt_ghz = partial_transpose_a(embed_bipartite(ghz_witness_mixture(n, 0.0), bip)).matrix
 
+    # Each chunk of p values runs the per-p checks of ghz_witness_mixture,
+    # BipartiteOperator and min_eigenvalue on the whole stack at once.
+    ps = np.linspace(args.p_from, args.p_to, args.steps)
+    step = _scan_chunk(bip.dim)
     rows = []
-    for p in np.linspace(args.p_from, args.p_to, args.steps):
-        p = float(p)
-        tr = expectation_value(ghz_witness_mixture(n, p), w)
-        lam = min_eigenvalue(BipartiteOperator(bip, p * pt_uniform + (1 - p) * pt_ghz))
-        rows.append((p, tr, lam, p >= p_min - 1e-12, tr < 0))
+    for chunk in (ps[i:i + step] for i in range(0, len(ps), step)):
+        rho = _ghz_mixtures(n, chunk)
+        p = chunk[:, None, None]
+        pt = p * pt_uniform + (1 - p) * pt_ghz
+        _check_operators(pt)
+        values = zip(chunk.tolist(), _expectations(rho, w).tolist(), _min_eigenvalues(pt).tolist())
+        rows += [(p, tr, lam, p >= p_min - 1e-12, tr < 0) for p, tr, lam in values]
     columns = ("p", "witness_expectation", "lambda_min", "sapt", "witness_detects")
     return Table({"n": n, "k": bip.k, "witness": w.name}, "rows", columns, rows)
 

@@ -24,6 +24,7 @@ from .symstate import (
     Bipartition,
     BipartiteOperator,
     PureSymmetricState,
+    _check_hermitian,
     dicke_decomposition,  # unused here; perfbench/tracing.py wraps ptrans.dicke_decomposition
     dicke_labels,
     embed_bipartite,
@@ -129,16 +130,24 @@ def min_eigenvalue(op: BipartiteOperator) -> float:
     accumulated assembly rounding; the returned eigenpair is verified to
     satisfy ||H v - lam v|| <= 1e-10.
     """
-    mat = op.matrix
-    if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
-        raise ValueError("min_eigenvalue: operator is not Hermitian within tolerance")
-    herm = (mat + mat.conj().T) / 2
+    return float(_min_eigenvalues(op.matrix[None])[0])
+
+
+def _min_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """min_eigenvalue for each matrix of a stack, with one stacked eigh.
+
+    numpy's eigh diagonalizes a stack matrix by matrix with the same LAPACK
+    call, so each value is bitwise that of the matrix alone.
+    """
+    _check_hermitian(mats, HERM_TOL, "min_eigenvalue: operator is not Hermitian within tolerance")
+    herm = (mats + mats.conj().swapaxes(-1, -2)) / 2
     w, v = np.linalg.eigh(herm)
-    vec = v[:, 0]
-    residual = np.linalg.norm(herm @ vec - w[0] * vec)
-    if residual > RESIDUAL_TOL:
-        raise RuntimeError(f"min_eigenvalue: eigenpair residual {residual} exceeds 1e-10")
-    return float(w[0])
+    vec = v[..., :1]
+    residual = np.linalg.norm(herm @ vec - w[:, None, :1] * vec, axis=(-2, -1))
+    bad = residual[residual > RESIDUAL_TOL]
+    if bad.size:
+        raise RuntimeError(f"min_eigenvalue: eigenpair residual {bad[0]} exceeds 1e-10")
+    return w[:, 0]
 
 
 def maxmixed_pt(bip: Bipartition) -> BipartiteOperator:

@@ -44,6 +44,32 @@ HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
+# The checks below take a stack of matrices, shape (count, dim, dim): a single
+# object is the stack of one, and a p-scan checks a whole chunk at once.
+
+
+def _check_hermitian(mats: np.ndarray, tol: float, message: str) -> None:
+    """Raise ValueError(message) unless every matrix is Hermitian within tol."""
+    if np.any(np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > tol):
+        raise ValueError(message)
+
+
+def _check_densities(mats: np.ndarray) -> None:
+    """The SymmetricDensityMatrix checks: Hermitian, unit trace, PSD."""
+    _check_hermitian(mats, HERM_TOL, "SymmetricDensityMatrix: matrix is not Hermitian within 1e-12")
+    traces = np.trace(mats, axis1=-2, axis2=-1)
+    bad = traces[np.abs(traces - 1.0) > NORM_TOL]
+    if bad.size:
+        raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
+    if np.linalg.eigvalsh((mats + mats.conj().swapaxes(-1, -2)) / 2).min() < -PSD_TOL:
+        raise ValueError("SymmetricDensityMatrix: negative eigenvalue beyond 1e-10")
+
+
+def _check_operators(mats: np.ndarray) -> None:
+    """The BipartiteOperator check: Hermitian within 1e-12."""
+    _check_hermitian(mats, HERM_TOL, "BipartiteOperator: matrix is not Hermitian within 1e-12")
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """A k | n-k split of n particles with local dimension d.
@@ -154,13 +180,7 @@ class SymmetricDensityMatrix:
                 f"SymmetricDensityMatrix: expected {dim}x{dim} for (n={self.n}, d={self.d}), "
                 f"got {mat.shape}"
             )
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
-            raise ValueError("SymmetricDensityMatrix: matrix is not Hermitian within 1e-12")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > NORM_TOL:
-            raise ValueError(f"SymmetricDensityMatrix: trace {tr} deviates from 1 beyond {NORM_TOL}")
-        if np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() < -PSD_TOL:
-            raise ValueError("SymmetricDensityMatrix: negative eigenvalue beyond 1e-10")
+        _check_densities(mat[None])
 
     @property
     def dim(self) -> int:
@@ -187,8 +207,7 @@ class BipartiteOperator:
             raise ValueError(
                 f"BipartiteOperator: expected {dim}x{dim} for {self.bipartition}, got {mat.shape}"
             )
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
-            raise ValueError("BipartiteOperator: matrix is not Hermitian within 1e-12")
+        _check_operators(mat[None])
 
     @property
     def dim(self) -> int:
@@ -275,14 +294,21 @@ def mix_with_identity(n: int, p: float, psi: PureSymmetricState) -> SymmetricDen
     The spectrum has exactly two levels: 1 - (D-1)p/D once and p/D with
     multiplicity D-1, D being the sector dimension.
     """
-    if not 0 <= p <= 1:
-        raise ValueError(f"mix_with_identity: p must lie in [0, 1], got {p}")
     if psi.n != n:
         raise ValueError(f"mix_with_identity: state has n={psi.n}, expected {n}")
+    return SymmetricDensityMatrix(n, psi.d, _mixtures(np.array([p]), psi)[0])
+
+
+def _mixtures(ps: np.ndarray, psi: PureSymmetricState) -> np.ndarray:
+    """The mix_with_identity matrix for every p of ps, as one unchecked stack."""
+    bad = ps[~((0 <= ps) & (ps <= 1))]
+    if bad.size:
+        raise ValueError(f"mix_with_identity: p must lie in [0, 1], got {bad[0]}")
+    p = ps[:, None, None]
     dim = psi.dim
     mat = (p / dim) * np.eye(dim, dtype=complex)
     mat += (1 - p) * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return SymmetricDensityMatrix(n, psi.d, mat)
+    return mat
 
 
 def _sector_columns(bip: Bipartition) -> list:

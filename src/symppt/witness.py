@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symstate import SymmetricDensityMatrix, ghz_state, mix_with_identity
+from .symstate import (
+    SymmetricDensityMatrix,
+    _check_densities,
+    _mixtures,
+    ghz_state,
+    mix_with_identity,
+)
 
 __all__ = [
     "Witness",
@@ -113,18 +119,33 @@ def ghz_witness_mixture(n: int, p: float) -> SymmetricDensityMatrix:
     return mix_with_identity(n, p, ghz_state(n, sign=+1))
 
 
+def _ghz_mixtures(n: int, ps: np.ndarray) -> np.ndarray:
+    """The ghz_witness_mixture matrix for every p of ps, as one stack that
+    passed the SymmetricDensityMatrix checks."""
+    mats = _mixtures(ps, ghz_state(n, sign=+1))
+    _check_densities(mats)
+    return mats
+
+
 def expectation_value(rho: SymmetricDensityMatrix, w: Witness) -> float:
     """Tr(rho W) for a symmetric qubit density matrix."""
     if rho.d != 2:
         raise ValueError("expectation_value: witnesses act on qubit sectors")
     if rho.dim != w.dim:
         raise ValueError(f"expectation_value: state dim {rho.dim} != witness dim {w.dim}")
-    mat = rho.matrix
-    val = np.real(np.diag(mat)) @ np.array(w.diagonal)
-    val += w.corner * (mat[0, -1] + mat[-1, 0])
-    if abs(np.imag(val)) > 1e-12:
-        raise RuntimeError(f"expectation_value: imaginary part {np.imag(val)} exceeds 1e-12")
-    return float(np.real(val))
+    return float(_expectations(rho.matrix[None], w)[0])
+
+
+def _expectations(mats: np.ndarray, w: Witness) -> np.ndarray:
+    """Tr(rho W) for each matrix of a stack of symmetric qubit density matrices."""
+    diagonal = np.array(w.diagonal)
+    # One BLAS dot per matrix: a stacked matmul sums in another order and can change the last bit.
+    val = np.array([row @ diagonal for row in np.real(np.diagonal(mats, axis1=-2, axis2=-1))])
+    val = val + w.corner * (mats[:, 0, -1] + mats[:, -1, 0])
+    bad = np.imag(val)[np.abs(np.imag(val)) > 1e-12]
+    if bad.size:
+        raise RuntimeError(f"expectation_value: imaginary part {bad[0]} exceeds 1e-12")
+    return np.real(val)
 
 
 def _profile(w: Witness, thetas: np.ndarray):

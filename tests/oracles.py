@@ -143,3 +143,35 @@ def random_density(n: int, d: int, rng: np.random.Generator, rank: int = 3):
         amps /= np.linalg.norm(amps)
         mat += w * np.outer(amps, amps.conj())
     return SymmetricDensityMatrix(n, d, mat)
+
+
+def scan_rows_per_p(w, n: int, k: int, p_from: float, p_to: float, steps: int) -> list:
+    """The rows of ``symppt scan``, one p at a time through the single-object API.
+
+    Each p builds its own validated density matrix and bipartite operator and
+    its own eigensolve: the per-step route the chunked scan must reproduce
+    bit for bit.
+    """
+    from symppt import (
+        Bipartition,
+        BipartiteOperator,
+        embed_bipartite,
+        expectation_value,
+        ghz_witness_mixture,
+        maxmixed_pt,
+        min_eigenvalue,
+        partial_transpose_a,
+        sappt_threshold_qubits,
+    )
+
+    bip = Bipartition(n, k)
+    p_min = float(sappt_threshold_qubits(n))
+    pt_uniform = maxmixed_pt(bip).matrix
+    pt_ghz = partial_transpose_a(embed_bipartite(ghz_witness_mixture(n, 0.0), bip)).matrix
+    rows = []
+    for p in np.linspace(p_from, p_to, steps):
+        p = float(p)
+        tr = expectation_value(ghz_witness_mixture(n, p), w)
+        lam = min_eigenvalue(BipartiteOperator(bip, p * pt_uniform + (1 - p) * pt_ghz))
+        rows.append((p, tr, lam, p >= p_min - 1e-12, tr < 0))
+    return rows

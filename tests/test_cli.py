@@ -4,14 +4,27 @@ import contextlib
 import io
 import json
 import math
+import struct
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symppt import builtin_witness, cli, witness_to_json
+from symppt import (
+    Bipartition,
+    Witness,
+    builtin_witness,
+    cli,
+    sappt_threshold_qubits,
+    witness,
+    witness_to_json,
+)
 from symppt.cli import main
+
+from oracles import scan_rows_per_p
 
 
 def run(capsys, argv):
@@ -187,6 +200,92 @@ class TestScan:
         cols = out.splitlines()[1].split(",")
         assert float(cols[2]) == pytest.approx(1 / 60, abs=1e-12)
 
+    def test_steps_cap_checked_before_the_grid(self, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the p grid was allocated")
+
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        argv = ["scan", "--witness", "W5", "--p-from", "0", "--p-to", "1", "--steps", "1000000000"]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err == f"symppt: error: scan: steps must be <= {cli.SCAN_STEPS_CAP}, got 1000000000\n"
+        assert peak < 1 << 20
+
+
+def scan_rows(argv):
+    return cli.cmd_scan(cli.build_parser().parse_args(["scan"] + argv)).rows
+
+
+def float_bits(rows):
+    return [(struct.pack("<3d", *row[:3]), row[3:]) for row in rows]
+
+
+class TestScanChunks:
+    """The chunked scan against the per-p route of tests/oracles.py, bit for bit,
+    on step counts around the chunk length B of each dimension."""
+
+    @pytest.mark.parametrize("name, k", [("W9", 4), ("W7", 2), ("W5", 2), ("W5", 1)])
+    def test_rows_equal_per_p_reference(self, name, k):
+        w = builtin_witness(name)
+        n = w.n
+        chunk = cli._scan_chunk(Bipartition(n, k).dim)
+        assert 1 < chunk < 201
+        p_from = float(sappt_threshold_qubits(n)) - 0.03
+        for steps in (1, chunk - 1, chunk, chunk + 1, 201):
+            argv = ["--witness", name, "--k", str(k), "--p-from", repr(p_from), "--p-to", "1",
+                    "--steps", str(steps)]
+            got = scan_rows(argv)
+            assert [tuple(map(type, row)) for row in got] == [(float,) * 3 + (bool,) * 2] * steps
+            assert float_bits(got) == float_bits(scan_rows_per_p(w, n, k, p_from, 1.0, steps))
+
+    def test_one_matrix_per_chunk_above_the_budget(self, tmp_path):
+        # n = 17, k = 8: 90 x 90 complex matrices, each larger than the budget
+        w = Witness("flat17", (1.0,) * 18, -0.5)
+        path = tmp_path / "flat17.json"
+        path.write_text(witness_to_json(w), encoding="utf-8")
+        assert cli._scan_chunk(90) == 1
+        got = scan_rows(["--witness-file", str(path), "--p-from", "0.5", "--p-to", "1", "--steps", "3"])
+        assert float_bits(got) == float_bits(scan_rows_per_p(w, 17, 8, 0.5, 1.0, 3))
+
+
+class TestScanChecks:
+    """The chunked scan keeps every per-step check: a matrix that fails one
+    makes the command exit 1 with that check's message."""
+
+    ARGV = ["scan", "--witness", "W5", "--p-from", "0.9", "--p-to", "1", "--steps", "100"]
+
+    def test_density_check(self, capsys, monkeypatch):
+        mixtures = witness._mixtures
+
+        def corrupt_middle(ps, psi):
+            mats = mixtures(ps, psi)
+            mats[len(mats) // 2, 0, 1] += 1e-9
+            return mats
+
+        monkeypatch.setattr(witness, "_mixtures", corrupt_middle)
+        code, out, err = run(capsys, self.ARGV)
+        assert (code, out) == (1, "")
+        assert err == "symppt: error: SymmetricDensityMatrix: matrix is not Hermitian within 1e-12\n"
+
+    def test_operator_check(self, capsys, monkeypatch):
+        maxmixed_pt = cli.maxmixed_pt
+
+        def off_by_1e11(bip):
+            mat = maxmixed_pt(bip).matrix.copy()
+            mat[0, 1] += 1e-11
+            return SimpleNamespace(matrix=mat)
+
+        monkeypatch.setattr(cli, "maxmixed_pt", off_by_1e11)
+        code, out, err = run(capsys, self.ARGV)
+        assert (code, out) == (1, "")
+        assert err == "symppt: error: BipartiteOperator: matrix is not Hermitian within 1e-12\n"
+
 
 class TestQuditCheck:
     def test_qutrits(self, capsys):
@@ -349,7 +448,7 @@ GRAMMAR = {
         "--p-to": (["0.97", "1"], ["1.5", "-inf", "nan", "x"]),
         "--n": (["5", "7", "9"], COUNT),
         "--k": (["1", "2"], COUNT + ["9"]),
-        "--steps": (["1", "5"], ["0", "-2", "x", "nan"]),
+        "--steps": (["1", "5"], ["0", "-2", "x", "nan", "100001"]),
     },
     "qudit-check": {
         "--d": (["2", "3", "4"], ["1", "-1", "x", "nan"]),

@@ -27,6 +27,7 @@ from symppt import (
     schmidt_spectrum,
     symmetric_dimension,
 )
+from symppt.ptrans import _min_eigenvalues
 
 from oracles import pt_shuffle, random_pure
 
@@ -98,6 +99,42 @@ class TestMinEigenvalue:
         object.__setattr__(op, "matrix", mat + 1e-6 * np.triu(np.ones_like(mat), 1))
         with pytest.raises(ValueError):
             min_eigenvalue(op)
+
+
+def hermitian_stack(count: int, dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    return mats + mats.conj().swapaxes(-1, -2)
+
+
+class TestStackedMinEigenvalues:
+    @pytest.mark.parametrize("dim", [12, 30, 41])
+    def test_bitwise_equal_to_one_at_a_time(self, dim):
+        mats = hermitian_stack(9, dim, dim)
+        stacked = _min_eigenvalues(mats)
+        single = [_min_eigenvalues(mat[None])[0] for mat in mats]
+        assert stacked.tobytes() == np.array(single).tobytes()
+
+    def test_non_hermitian_matrix_mid_stack(self):
+        mats = hermitian_stack(5, 12, 1)
+        mats[2, 0, 3] += 1e-9
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _min_eigenvalues(mats)
+
+    def test_bad_eigenpair_mid_stack(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(a, *args, **kwargs):
+            w, v = eigh(a, *args, **kwargs)
+            v = v.copy()
+            v[2, 0, 0] += 1e-6
+            return w, v
+
+        mats = hermitian_stack(5, 12, 2)
+        _min_eigenvalues(mats)
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(RuntimeError, match="residual"):
+            _min_eigenvalues(mats)
 
 
 class TestMaxmixedPt:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symppt import (
@@ -25,7 +25,7 @@ from symppt import (
     state_to_json,
     symmetric_dimension,
 )
-from symppt.symstate import split_coefficients
+from symppt.symstate import _check_densities, _check_operators, split_coefficients
 
 from oracles import brute_split_overlaps, qubit_occupation, random_density, random_pure
 
@@ -284,6 +284,33 @@ class TestValidation:
             SymmetricDensityMatrix(2, 2, np.diag([0.5, 0.3, 0.3]))
 
 
+class TestStackedChecks:
+    """A stack is checked as a whole: one bad matrix in the middle fails it."""
+
+    def test_density_not_hermitian_mid_stack(self):
+        mats = np.stack([mix_with_identity(4, p, ghz_state(4)).matrix for p in (0.1, 0.5, 0.9)])
+        _check_densities(mats)
+        mats[1, 0, 4] += 1e-9
+        with pytest.raises(ValueError, match="SymmetricDensityMatrix: matrix is not Hermitian"):
+            _check_densities(mats)
+
+    def test_density_trace_and_sign_mid_stack(self):
+        mats = np.stack([np.eye(3, dtype=complex) / 3] * 3)
+        mats[1] = np.diag([0.5, 0.3, 0.3])
+        with pytest.raises(ValueError, match="trace"):
+            _check_densities(mats)
+        mats[1] = np.diag([0.9, 0.4, -0.3])
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            _check_densities(mats)
+
+    def test_operator_not_hermitian_mid_stack(self):
+        mats = np.stack([np.eye(6, dtype=complex)] * 4)
+        _check_operators(mats)
+        mats[2, 1, 0] = 1e-11
+        with pytest.raises(ValueError, match="BipartiteOperator: matrix is not Hermitian"):
+            _check_operators(mats)
+
+
 class TestJson:
     def test_wire_format(self):
         import json
@@ -301,6 +328,20 @@ class TestJson:
         again = state_from_json(state_to_json(psi))
         assert (again.n, again.d) == (6, 2)
         assert np.allclose(again.amplitudes, psi.amplitudes)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(data=st.data(), n=st.integers(1, 6), d=st.integers(2, 4))
+    def test_round_trip_is_bitwise(self, data, n, d):
+        dim = symmetric_dimension(n, d)
+        parts = st.floats(-1, 1, allow_nan=False)
+        amps = np.array(data.draw(st.lists(parts, min_size=dim, max_size=dim)), dtype=complex)
+        amps += 1j * np.array(data.draw(st.lists(parts, min_size=dim, max_size=dim)))
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        psi = PureSymmetricState(n, d, amps / norm)
+        again = state_from_json(state_to_json(psi))
+        assert (again.n, again.d) == (n, d)
+        assert again.amplitudes.tobytes() == psi.amplitudes.tobytes()
 
     def test_qudit_round_trip(self):
         rng = np.random.default_rng(29)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symppt import (
     Witness,
@@ -21,6 +23,13 @@ from symppt import (
     witness_from_json,
     witness_to_json,
 )
+from symppt.witness import _expectations, _ghz_mixtures
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def float_bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
 
 W5_DIAG = (0.0366656, -0.134595, 1.0, 1.0, -0.134595, 0.0366656)
 W7_DIAG = (0.00197514, 0.0643064, -0.189017, 1.0, 1.0, -0.189017, 0.0643064, 0.00197514)
@@ -100,6 +109,18 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             expectation_value(ghz_witness_mixture(5, 0.9), builtin_witness("W7"))
+
+    def test_stack_equals_one_at_a_time(self):
+        w = builtin_witness("W9")
+        ps = np.linspace(0.9, 1.0, 13)
+        single = [expectation_value(ghz_witness_mixture(9, p), w) for p in ps.tolist()]
+        assert _expectations(_ghz_mixtures(9, ps), w).tobytes() == np.array(single).tobytes()
+
+    def test_imaginary_part_mid_stack(self):
+        mats = _ghz_mixtures(5, np.array([0.2, 0.5, 0.8]))
+        mats[1, 0, -1] += 1e-9j
+        with pytest.raises(RuntimeError, match="imaginary part"):
+            _expectations(mats, builtin_witness("W5"))
 
 
 class TestProductExpectation:
@@ -246,6 +267,20 @@ class TestWitnessJson:
         w = builtin_witness("W7")
         again = witness_from_json(witness_to_json(w))
         assert again == w
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        name=st.text(max_size=8),
+        half=st.lists(FINITE, min_size=1, max_size=6),
+        middle=st.one_of(st.none(), FINITE),
+        corner=FINITE,
+    )
+    def test_round_trip_is_bitwise(self, name, half, middle, corner):
+        diagonal = half + ([] if middle is None else [middle]) + half[::-1]
+        w = Witness(name, tuple(diagonal), corner)
+        again = witness_from_json(witness_to_json(w))
+        assert again.name == w.name
+        assert float_bits(again.diagonal + (again.corner,)) == float_bits(w.diagonal + (w.corner,))
 
     def test_file_loading(self, tmp_path):
         path = tmp_path / "w.json"

@@ -9,6 +9,7 @@ failure or check violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -304,6 +305,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expects WxH (e.g. 721x360), got {text!r}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="symppt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,6 +9,9 @@ implements that construction and the numeric assembly that cross-checks
 it: the weight blocks, built from the float split coefficients, with the
 dense matrix as their scatter.  It also provides Schmidt data of pure
 states and the qudit minimum-eigenvalue check.
+The blocks come as one stack per block size, built one size at a time after
+one stable sort of the pairs by weight; the qudit check runs one eigvalsh
+per stack.  All stacks hold at most dim * (largest block) floats, 2.8 MB.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from .symstate import (
     BipartiteOperator,
     PureSymmetricState,
     _check_hermitian,
+    _label_keys,
     dicke_decomposition,  # unused here; perfbench/tracing.py wraps ptrans.dicke_decomposition
-    dicke_labels,
+    dicke_labels,  # unused here; perfbench/tracing.py wraps ptrans.dicke_labels
     embed_bipartite,
     embed_pure,
     ghz_state,
@@ -153,14 +157,14 @@ def _min_eigenvalues(mats: np.ndarray) -> np.ndarray:
 def maxmixed_pt(bip: Bipartition) -> BipartiteOperator:
     """Partial transpose of the uniform symmetric state as a dense matrix.
 
-    The scatter of maxmixed_pt_blocks into a zero matrix: entries between
+    The scatter of the weight blocks into a zero matrix: entries between
     pairs of different weight are exactly zero.  The test suite compares it
     with the partial transpose of the embedded uniform state.
     """
-    blocks = maxmixed_pt_blocks(bip)
+    stacks = _weight_stacks(bip)
     mat = np.zeros((bip.dim, bip.dim))
-    for indices, block in blocks:
-        mat[np.ix_(indices, indices)] = block
+    for members, stack in stacks:
+        mat[members[:, :, None], members[:, None, :]] = stack
     return BipartiteOperator(bip, mat)
 
 
@@ -172,28 +176,38 @@ def maxmixed_pt_blocks(bip: Bipartition):
     c(a_s, b_r) c(a_r, b_s) / D at row (a_r, b_r), column (a_s, b_s).  It is
     nonzero only when both pairs share the label difference a - b, so the
     matrix is block diagonal over that weight.  Returns a list of
-    (pair_indices, block) with pair_indices into the row-major bipartite
-    basis, blocks in first-appearance order; eigenvalues of the blocks are
-    exactly those of the full matrix.  Bipartite dimensions above DIM_CAP
-    are rejected before anything is built.
+    (pair_indices, block) with pair_indices ascending into the row-major
+    bipartite basis; eigenvalues of the blocks are exactly those of the full
+    matrix.  Blocks come ordered by size, then by weight, as the stacks of
+    equal-sized blocks they are built in.  Bipartite dimensions above
+    DIM_CAP are rejected before anything is built.
     """
+    stacks = ((members.tolist(), stack) for members, stack in _weight_stacks(bip))
+    return [(tuple(idx), block) for members, stack in stacks for idx, block in zip(members, stack)]
+
+
+def _weight_stacks(bip: Bipartition):
+    """maxmixed_pt_blocks as (members, stack) per block size, built one size at
+    a time as they are consumed: members holds one block's pair indices per
+    row, and stack the (count, size, size) blocks."""
     if bip.dim > DIM_CAP:
         raise ValueError(f"maxmixed_pt_blocks: bipartite dimension {bip.dim} exceeds cap {DIM_CAP}")
     coeffs = split_coefficients(bip)
-    labels_a = np.array(dicke_labels(bip.k, bip.d))
-    labels_b = np.array(dicke_labels(bip.n - bip.k, bip.d))
-    # Counts (qubits) and occupation tuples (qudits) subtract alike.
-    weights = (labels_a[:, None] - labels_b[None, :]).reshape(bip.dim, -1)
-    groups = {}
-    for i, weight in enumerate(map(tuple, weights.tolist())):
-        groups.setdefault(weight, []).append(i)
+    keys = (_label_keys(bip, bip.k)[:, None] - _label_keys(bip, bip.n - bip.k)).ravel()
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.r_[True, keys[order[1:]] != keys[order[:-1]]])
+    sizes = np.diff(np.r_[starts, bip.dim])
     dim_sector = symmetric_dimension(bip.n, bip.d)
-    blocks = []
-    for members in groups.values():
-        ia, ib = np.divmod(np.array(members), bip.dim_b)
-        block = coeffs[ia[None, :], ib[:, None]] * coeffs[ia[:, None], ib[None, :]] / dim_sector
-        blocks.append((tuple(members), block))
-    return blocks
+
+    def stack(size):
+        members = order[starts[sizes == size][:, None] + np.arange(size)]
+        ia, ib = np.divmod(members, bip.dim_b)
+        blocks = coeffs[ia[:, None, :], ib[:, :, None]]
+        blocks *= coeffs[ia[:, :, None], ib[:, None, :]]
+        blocks /= dim_sector
+        return members, blocks
+
+    return map(stack, sorted(set(sizes.tolist())))
 
 
 def maxmixed_pt_spectrum(bip: Bipartition) -> Spectrum:
@@ -326,12 +340,13 @@ def qudit_min_eig_check(n: int, d: int, k: int) -> tuple[float, Fraction]:
     """
     bip = Bipartition(n, k, d)
     best = None
-    best_block = None
-    for _, block in maxmixed_pt_blocks(bip):
-        w = np.linalg.eigvalsh((block + block.T) / 2)
-        if best is None or w[0] < best:
-            best = float(w[0])
-            best_block = block
+    for _, stack in _weight_stacks(bip):
+        herm = stack + stack.swapaxes(-1, -2)
+        herm /= 2
+        w = np.linalg.eigvalsh(herm)[:, 0]
+        i = int(np.argmin(w))
+        if best is None or w[i] < best:
+            best, best_block = float(w[i]), stack[i]
     # eigh only feeds the residual check; reporting its value changes printed digits on some cuts.
     herm = (best_block + best_block.T) / 2
     w, v = np.linalg.eigh(herm)

@@ -5,7 +5,9 @@ stored as length-D amplitude vectors or D x D density matrices, D being
 the sector dimension.  The central operation is the isometric embedding
 of the sector into the tensor product of the two symmetric sectors of a
 k | n-k bipartition, driven by the split coefficients: exact in
-``dicke_decomposition``, as floats in ``split_coefficients``.
+``dicke_decomposition``, as floats in ``split_coefficients``.  The float
+table reads cached Python-int multinomials per (particle count, d) and finds
+each pair's sector label by a sorted lookup of integer label keys.
 """
 
 from __future__ import annotations
@@ -311,26 +313,43 @@ def _mixtures(ps: np.ndarray, psi: PureSymmetricState) -> np.ndarray:
     return mat
 
 
-def _sector_columns(bip: Bipartition) -> list:
+@functools.lru_cache(maxsize=None)
+def _multinomials(n: int, d: int) -> tuple:
+    """multinomial(n, m) for every label m of dicke_labels(n, d), in order."""
+    return tuple(multinomial(n, m) for m in _occupations(n, d))
+
+
+def _label_keys(bip: Bipartition, m: int) -> np.ndarray:
+    """Integer key per label of dicke_labels(m, d): its occupations as base-(n+1)
+    digits.  Digits of a sum or difference of an A and a B label span n + 1
+    values, so its key is unique.  Object dtype keeps keys exact past int64."""
+    radix = bip.n + 1
+    powers = [radix**j for j in range(bip.d)]
+    dtype = object if radix**bip.d >= 2**63 else np.int64
+    return np.array(_occupations(m, bip.d)) @ np.array(powers, dtype=dtype)
+
+
+def _sector_columns(bip: Bipartition) -> np.ndarray:
     """Sector label index of a + b for every pair (a, b), in row-major order."""
-    column = {m: i for i, m in enumerate(_occupations(bip.n, bip.d))}
-    occ_a, occ_b = _occupations(bip.k, bip.d), _occupations(bip.n - bip.k, bip.d)
-    return [column[tuple(map(operator.add, a, b))] for a in occ_a for b in occ_b]
+    sector = _label_keys(bip, bip.n)
+    sorter = np.argsort(sector)
+    pairs = (_label_keys(bip, bip.k)[:, None] + _label_keys(bip, bip.n - bip.k)).ravel()
+    return sorter[np.searchsorted(sector, pairs, sorter=sorter)]
 
 
 def split_coefficients(bip: Bipartition) -> np.ndarray:
     """Float split coefficients c(a, b) = sqrt( M(k; a) M(n-k; b) / M(n; a+b) ).
 
-    A dim_a x dim_b table over the A- and B-side labels, from one Python-int
-    multinomial per row, column and sector label.  int / int true division
-    and float(Fraction) are both correctly rounded, so each entry is float()
-    of the dicke_decomposition coefficient, bit for bit.
+    A dim_a x dim_b table over the A- and B-side labels, from the cached
+    Python-int multinomials of every row, column and sector label.  int / int
+    true division and float(Fraction) are both correctly rounded, so each
+    entry is float() of the dicke_decomposition coefficient, bit for bit.
     """
-    rows = [multinomial(bip.k, a) for a in _occupations(bip.k, bip.d)]
-    cols = [multinomial(bip.n - bip.k, b) for b in _occupations(bip.n - bip.k, bip.d)]
-    sector = [multinomial(bip.n, m) for m in _occupations(bip.n, bip.d)]
+    rows = _multinomials(bip.k, bip.d)
+    cols = _multinomials(bip.n - bip.k, bip.d)
+    sector = _multinomials(bip.n, bip.d)
     products = (x * y for x in rows for y in cols)
-    table = [math.sqrt(num / sector[m]) for num, m in zip(products, _sector_columns(bip))]
+    table = [math.sqrt(num / sector[m]) for num, m in zip(products, _sector_columns(bip).tolist())]
     return np.array(table).reshape(bip.dim_a, bip.dim_b)
 
 

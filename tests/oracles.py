@@ -145,6 +145,19 @@ def random_density(n: int, d: int, rng: np.random.Generator, rank: int = 3):
     return SymmetricDensityMatrix(n, d, mat)
 
 
+_eigh = np.linalg.eigh
+
+
+def tilted_eigh(a, *args, **kwargs):
+    """A faulty np.linalg.eigh: the lowest eigenvector is tilted by 1e-6
+    towards the highest, so any eigenpair residual check on a matrix wider
+    than 1 must fire."""
+    w, v = _eigh(a, *args, **kwargs)
+    v = v.copy()
+    v[..., 0] += 1e-6 * v[..., -1]
+    return w, v
+
+
 def scan_rows_per_p(w, n: int, k: int, p_from: float, p_to: float, steps: int) -> list:
     """The rows of ``symppt scan``, one p at a time through the single-object API.
 
@@ -175,3 +188,49 @@ def scan_rows_per_p(w, n: int, k: int, p_from: float, p_to: float, steps: int) -
         lam = min_eigenvalue(BipartiteOperator(bip, p * pt_uniform + (1 - p) * pt_ghz))
         rows.append((p, tr, lam, p >= p_min - 1e-12, tr < 0))
     return rows
+
+
+def weight_blocks_per_pair(bip) -> list:
+    """The weight blocks of the transposed uniform state, grouped pair by pair.
+
+    A dict keyed by the label difference a - b collects the pair indices in
+    ascending order; each block is then built on its own from the library's
+    split coefficients.  Returns (pair_indices, block) in first-appearance
+    order: the per-block route the size-stacked assembly must reproduce bit
+    for bit.
+    """
+    from symppt import dicke_labels, symmetric_dimension
+    from symppt.symstate import split_coefficients
+
+    coeffs = split_coefficients(bip)
+    labels_a = np.array(dicke_labels(bip.k, bip.d))
+    labels_b = np.array(dicke_labels(bip.n - bip.k, bip.d))
+    weights = (labels_a[:, None] - labels_b[None, :]).reshape(bip.dim, -1)
+    groups = {}
+    for i, weight in enumerate(map(tuple, weights.tolist())):
+        groups.setdefault(weight, []).append(i)
+    dim_sector = symmetric_dimension(bip.n, bip.d)
+    blocks = []
+    for members in groups.values():
+        ia, ib = np.divmod(np.array(members), bip.dim_b)
+        block = coeffs[ia[None, :], ib[:, None]] * coeffs[ia[:, None], ib[None, :]] / dim_sector
+        blocks.append((tuple(members), block))
+    return blocks
+
+
+def min_eig_per_block(bip) -> float:
+    """Smallest eigenvalue over the weight blocks, one eigvalsh per block."""
+    best = None
+    for _, block in weight_blocks_per_pair(bip):
+        w = np.linalg.eigvalsh((block + block.T) / 2)
+        if best is None or w[0] < best:
+            best = float(w[0])
+    return best
+
+
+def scatter_blocks(bip) -> np.ndarray:
+    """The dense transposed uniform state as the scatter of the per-pair blocks."""
+    mat = np.zeros((bip.dim, bip.dim))
+    for indices, block in weight_blocks_per_pair(bip):
+        mat[np.ix_(indices, indices)] = block
+    return mat

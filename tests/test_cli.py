@@ -9,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from symppt import (
 )
 from symppt.cli import main
 
-from oracles import scan_rows_per_p
+from oracles import scan_rows_per_p, tilted_eigh
 
 
 def run(capsys, argv):
@@ -327,6 +328,12 @@ class TestQuditCheck:
         code, _, err = run(capsys, ["qudit-check", "--d", "3", "--nmax", "8"])
         assert code == expected_code, err
 
+    def test_bad_eigenpair_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", tilted_eigh)
+        code, out, err = run(capsys, ["qudit-check", "--d", "3", "--nmax", "6"])
+        assert (code, out) == (2, "")
+        assert err == "symppt: numerical failure: qudit_min_eig_check: eigenpair residual exceeds 1e-10\n"
+
     def test_eigensolver_rounding_allowed(self, capsys):
         # At n = 60 the minimum eigenvalue is about 1e-19, so 1e-9 of it is
         # far below the ~1e-17 eigvalsh leaves on blocks of norm ~0.1.
@@ -426,6 +433,21 @@ class TestParsing:
         code, _, err = run(capsys, ["witness", "W5", "--grid", "721"])
         assert code == 1
         assert "grid" in err
+
+    @pytest.mark.parametrize(
+        "valid,malformed",
+        [
+            (["spectrum", "--n", "6", "--mode", "both"], ["spectrum", "--n", "6", "--k", "x"]),
+            (["witness", "W5", "--grid", "12x6", "--format", "json"], ["witness", "W5", "--grid", "12"]),
+            (["qudit-check", "--d", "3", "--nmax", "4"], ["qudit-check", "--nmax", "4"]),
+        ],
+    )
+    def test_parser_reused_after_malformed_argv(self, capsys, valid, malformed):
+        assert cli.build_parser() is cli.build_parser()
+        first = run(capsys, valid)
+        code, out, err = run(capsys, malformed)
+        assert (code, out, len(err.splitlines())) == (1, "", 1)
+        assert run(capsys, valid) == first
 
 
 # A bounded argv grammar: each subcommand with its required flags and a

@@ -10,6 +10,7 @@ from symppt import (
     Bipartition,
     BipartiteOperator,
     Spectrum,
+    dicke_labels,
     embed_bipartite,
     ghz_corner_eigencheck,
     ghz_state,
@@ -27,9 +28,9 @@ from symppt import (
     schmidt_spectrum,
     symmetric_dimension,
 )
-from symppt.ptrans import _min_eigenvalues
+from symppt.ptrans import DIM_CAP, _min_eigenvalues
 
-from oracles import pt_shuffle, random_pure
+from oracles import min_eig_per_block, pt_shuffle, random_pure, scatter_blocks, tilted_eigh
 
 
 def random_hermitian(bip, rng):
@@ -183,10 +184,57 @@ class TestMaxmixedPt:
             assert np.all(via_embed[~inside] == 0), (n, k, d)
 
     def test_block_sizes_cover_space(self):
-        for n, k, d in [(5, 2, 2), (6, 3, 3), (5, 2, 4)]:
+        # (2, 1, 70) has label keys past int64: 3**70 > 2**63.
+        cuts = [(5, 2, 2), (6, 3, 3), (5, 2, 4), (6, 3, 4), (9, 4, 4), (12, 2, 4), (2, 1, 70)]
+        for n, k, d in cuts:
             bip = Bipartition(n, k, d)
-            indices = [i for idx, _ in maxmixed_pt_blocks(bip) for i in idx]
+            labels_a, labels_b = dicke_labels(k, d), dicke_labels(n - k, d)
+            blocks = maxmixed_pt_blocks(bip)
+            indices = [i for idx, _ in blocks for i in idx]
             assert sorted(indices) == list(range(bip.dim)), (n, k, d)
+            weights = set()
+            for idx, _ in blocks:
+                assert list(idx) == sorted(idx), (n, k, d)
+                ia, ib = np.divmod(idx, bip.dim_b)
+                diffs = {tuple(np.subtract(labels_a[a], labels_b[b]).ravel()) for a, b in zip(ia, ib)}
+                assert len(diffs) == 1, (n, k, d)
+                weights |= diffs
+            assert len(weights) == len(blocks), (n, k, d)
+
+
+def qudit_cuts():
+    """The 150 cuts of qudit-check --d {2,3,4} --nmax 15 within DIM_CAP."""
+    return [
+        (n, d, k)
+        for d in (2, 3, 4)
+        for n in range(2, 16)
+        for k in range(1, n // 2 + 1)
+        if Bipartition(n, k, d).dim <= DIM_CAP
+    ]
+
+
+class TestWeightStacks:
+    """The size-stacked assembly against the per-pair, per-block oracle."""
+
+    def test_qudit_minimum_bitwise_equal_to_per_block_oracle(self):
+        cuts = qudit_cuts()
+        assert len(cuts) == 150
+        for n, d, k in cuts:
+            numeric, _ = qudit_min_eig_check(n, d, k)
+            assert numeric == min_eig_per_block(Bipartition(n, k, d)), (n, d, k)
+
+    def test_balanced_qubit_minimum_bitwise_equal_to_per_block_oracle(self):
+        for n in range(2, 81):
+            numeric, _ = qudit_min_eig_check(n, 2, n // 2)
+            assert numeric == min_eig_per_block(Bipartition(n, n // 2)), n
+
+    def test_dense_matrix_bitwise_equal_to_oracle_scatter(self):
+        for n in range(4, 41):
+            for k in range(1, n // 2 + 1):
+                bip = Bipartition(n, k)
+                dense = maxmixed_pt(bip).matrix
+                assert dense.real.tobytes() == scatter_blocks(bip).tobytes(), (n, k)
+                assert not dense.imag.any(), (n, k)
 
 
 class TestAnalyticSpectrum:
@@ -464,6 +512,13 @@ class TestQuditMinEig:
             numeric, _ = qudit_min_eig_check(n, d, k)
             dense = min_eigenvalue(maxmixed_pt(Bipartition(n, k, d)))
             assert numeric == pytest.approx(dense, abs=1e-12)
+
+    def test_bad_eigenpair_raises(self, monkeypatch):
+        # The minimum of (5, 3, 2) lies on a block wider than 1, so tilting
+        # the eigenvector towards another one leaves a residual.
+        monkeypatch.setattr(np.linalg, "eigh", tilted_eigh)
+        with pytest.raises(RuntimeError, match="residual"):
+            qudit_min_eig_check(5, 3, 2)
 
     def test_size_cap(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,7 @@ from .symstate import (
     embed_bipartite,
 )
 from .witness import (
+    GRID_DEFAULT,
     _expectations,
     _ghz_mixtures,
     builtin_witness,
@@ -346,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=None, help="mixture parameter for the expectation")
     p.add_argument("--validate", action="store_true", help="only the product-state minimum")
     p.add_argument("--threshold", action="store_true", help="only the detection threshold")
-    p.add_argument("--grid", type=_parse_grid, default=(721, 360), help="validation grid WxH")
+    p.add_argument("--grid", type=_parse_grid, default=GRID_DEFAULT, help="validation grid WxH")
     return parser
 
 

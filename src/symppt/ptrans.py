@@ -187,9 +187,9 @@ def maxmixed_pt_blocks(bip: Bipartition):
 
 
 def _weight_stacks(bip: Bipartition):
-    """maxmixed_pt_blocks as (members, stack) per block size, built one size at
-    a time as they are consumed: members holds one block's pair indices per
-    row, and stack the (count, size, size) blocks."""
+    """maxmixed_pt_blocks as (members, stack) per block size, built one size at a
+    time as they are consumed: members holds one block's pair indices per row, and
+    stack the (count, size, size) blocks, bitwise symmetric since c c' == c' c."""
     if bip.dim > DIM_CAP:
         raise ValueError(f"maxmixed_pt_blocks: bipartite dimension {bip.dim} exceeds cap {DIM_CAP}")
     coeffs = split_coefficients(bip)
@@ -341,16 +341,13 @@ def qudit_min_eig_check(n: int, d: int, k: int) -> tuple[float, Fraction]:
     bip = Bipartition(n, k, d)
     best = None
     for _, stack in _weight_stacks(bip):
-        herm = stack + stack.swapaxes(-1, -2)
-        herm /= 2
-        w = np.linalg.eigvalsh(herm)[:, 0]
+        w = np.linalg.eigvalsh(stack)[:, 0]
         i = int(np.argmin(w))
         if best is None or w[i] < best:
             best, best_block = float(w[i]), stack[i]
     # eigh only feeds the residual check; reporting its value changes printed digits on some cuts.
-    herm = (best_block + best_block.T) / 2
-    w, v = np.linalg.eigh(herm)
-    if np.linalg.norm(herm @ v[:, 0] - w[0] * v[:, 0]) > RESIDUAL_TOL:
+    w, v = np.linalg.eigh(best_block)
+    if np.linalg.norm(best_block @ v[:, 0] - w[0] * v[:, 0]) > RESIDUAL_TOL:
         raise RuntimeError("qudit_min_eig_check: eigenpair residual exceeds 1e-10")
     conjectured = Fraction(1, symmetric_dimension(n, d) * math.comb(n, k))
     return best, conjectured

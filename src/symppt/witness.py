@@ -4,11 +4,13 @@ The built-in witnesses certify entanglement of the uniparametric GHZ
 mixtures in the region where those mixtures are already absolutely PPT
 within the symmetric sector.  Validity over separable symmetric states
 reduces to positivity over the spin-coherent product manifold, which this
-module checks by a coarse 2-D grid plus a refined 1-D search.
+module checks by a refined 1-D search, cross-checked on a 2-D grid whose
+rows are monotone in cos(n phi), so two phi columns hold its exact minimum.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 GRID_DEFAULT = (721, 360)
+GRID_SIDE_CAP = 100_000
 GRID_AGREEMENT_TOL = 1e-6
 REFINE_TOL = 1e-8
 
@@ -148,29 +151,27 @@ def _expectations(mats: np.ndarray, w: Witness) -> np.ndarray:
     return np.real(val)
 
 
-def _profile(w: Witness, thetas: np.ndarray):
-    """Diagonal term f(theta) and corner envelope g(theta) >= 0."""
-    n = w.n
-    c2 = np.cos(thetas / 2) ** 2
-    s2 = np.sin(thetas / 2) ** 2
-    f = np.zeros_like(thetas, dtype=float)
-    for a, wa in enumerate(w.diagonal):
-        f += wa * math.comb(n, a) * c2 ** (n - a) * s2**a
-    g = (c2 * s2) ** (n / 2)
-    return f, g
+def _values(w: Witness, thetas: np.ndarray, cos_nphi: np.ndarray) -> np.ndarray:
+    """Diagonal term f(theta) plus 2 corner g(theta) cos(n phi), g >= 0, for each theta and
+    each given cos(n phi), as a (len(thetas), len(cos_nphi)) array; ValueError if not finite."""
+    try:
+        with np.errstate(all="ignore"):
+            c2 = np.cos(thetas / 2) ** 2
+            s2 = np.sin(thetas / 2) ** 2
+            f = sum(wa * math.comb(w.n, a) * c2 ** (w.n - a) * s2**a
+                    for a, wa in enumerate(w.diagonal))
+            g = (c2 * s2) ** (w.n / 2)
+            vals = f[:, None] + 2 * w.corner * g[:, None] * cos_nphi[None, :]
+    except OverflowError:  # math.comb(n, a) leaves double range from n = 1030
+        vals = np.array(math.nan)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"witness {w.name}: product-state expectation leaves double range")
+    return vals
 
 
 def product_state_expectation(w: Witness, theta: float, phi: float) -> float:
-    """Expectation of the witness on the product state with Bloch angles
-    (theta, phi): f(theta) + 2 * corner * g(theta) * cos(n phi)."""
-    f, g = _profile(w, np.array([float(theta)]))
-    return float(f[0] + 2 * w.corner * g[0] * math.cos(w.n * phi))
-
-
-def _grid_values(w: Witness, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Witness expectation on a theta x phi product grid."""
-    f, g = _profile(w, thetas)
-    return f[:, None] + 2 * w.corner * g[:, None] * np.cos(w.n * phis)[None, :]
+    """Expectation of the witness on the product state with Bloch angles (theta, phi)."""
+    return float(_values(w, np.array([float(theta)]), np.array([math.cos(w.n * phi)]))[0, 0])
 
 
 def _golden_min(f, lo: float, hi: float, tol: float):
@@ -200,22 +201,19 @@ def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
     is 0 for corner <= 0 and pi/n otherwise, reducing the search to theta;
     the palindromic diagonal makes the profile symmetric about pi/2, so
     theta is canonicalized to [0, pi/2].  A coarse theta scan is refined
-    by golden section to 1e-8, and the full 2-D grid double-checks the
-    result to 1e-6.
+    by golden section to 1e-8, and the W x H grid (each side at most
+    GRID_SIDE_CAP) double-checks the result to 1e-6 in O(W + H) memory: its
+    minimum lies in the two phi columns of least and greatest cos(n phi).
     """
     grid_w, grid_h = grid
     if grid_w < 3 or grid_h < 1:
         raise ValueError(f"minimize_over_products: grid {grid} too coarse")
-    n = w.n
-    phi_star = 0.0 if w.corner <= 0 else math.pi / n
-
-    def line(theta):
-        return product_state_expectation(w, theta, phi_star)
-
+    if max(grid) > GRID_SIDE_CAP:
+        raise ValueError(f"minimize_over_products: grid {grid} exceeds {GRID_SIDE_CAP} per side")
+    phi_star = 0.0 if w.corner <= 0 else math.pi / w.n
+    line = functools.partial(product_state_expectation, w, phi=phi_star)
     half = np.linspace(0.0, math.pi / 2, max(grid_w // 2 + 1, 3))
-    f, g = _profile(w, half)
-    vals = f + 2 * w.corner * g * math.cos(n * phi_star)
-    i = int(np.argmin(vals))
+    i = int(np.argmin(_values(w, half, np.array([math.cos(w.n * phi_star)]))))
     lo = half[max(i - 1, 0)]
     hi = half[min(i + 1, len(half) - 1)]
     theta_best, val_best = _golden_min(line, lo, hi, REFINE_TOL)
@@ -226,8 +224,11 @@ def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
             theta_best, val_best = theta_edge, val_edge
 
     thetas = np.linspace(0.0, math.pi, grid_w)
-    phis = np.linspace(0.0, 2 * math.pi, grid_h, endpoint=False)
-    grid_min = float(_grid_values(w, thetas, phis).min())
+    cos_nphi = np.cos(w.n * np.linspace(0.0, 2 * math.pi, grid_h, endpoint=False))
+    # Row theta of the W x H array is fl(f + fl(s x)) over x = cos(n phi), s = fl(2 corner g).
+    # Rounding is monotone, so the row never decreases in x if s >= 0 and never increases if
+    # s < 0: the columns of least and greatest x hold its minimum, and grid_min is bitwise exact.
+    grid_min = float(_values(w, thetas, np.array([cos_nphi.min(), cos_nphi.max()])).min())
     if abs(grid_min - val_best) > GRID_AGREEMENT_TOL:
         raise RuntimeError(
             f"minimize_over_products: 2-D grid minimum {grid_min} and refined minimum "

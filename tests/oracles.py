@@ -234,3 +234,55 @@ def scatter_blocks(bip) -> np.ndarray:
     for indices, block in weight_blocks_per_pair(bip):
         mat[np.ix_(indices, indices)] = block
     return mat
+
+
+def product_profile(w, thetas: np.ndarray):
+    """Diagonal term f(theta) and corner envelope g(theta) >= 0 of the witness
+    on coherent product states, evaluated term by term."""
+    n = w.n
+    c2 = np.cos(thetas / 2) ** 2
+    s2 = np.sin(thetas / 2) ** 2
+    f = np.zeros_like(thetas, dtype=float)
+    for a, wa in enumerate(w.diagonal):
+        f += wa * math.comb(n, a) * c2 ** (n - a) * s2**a
+    g = (c2 * s2) ** (n / 2)
+    return f, g
+
+
+def product_value(w, theta: float, phi: float) -> float:
+    """The witness on the product state with Bloch angles (theta, phi)."""
+    f, g = product_profile(w, np.array([float(theta)]))
+    return float(f[0] + 2 * w.corner * g[0] * math.cos(w.n * phi))
+
+
+def dense_grid_min(w, grid) -> float:
+    """Minimum of the witness over the full W x H (theta, phi) array."""
+    thetas = np.linspace(0.0, math.pi, grid[0])
+    phis = np.linspace(0.0, 2 * math.pi, grid[1], endpoint=False)
+    f, g = product_profile(w, thetas)
+    return float((f[:, None] + 2 * w.corner * g[:, None] * np.cos(w.n * phis)[None, :]).min())
+
+
+def minimize_over_products_dense(w, grid, tol: float):
+    """minimize_over_products with the 2-D cross-check on the full W x H array:
+    the same coarse scan, golden-section refinement, edge points and
+    agreement error at tolerance tol, evaluated through product_profile."""
+    from symppt.witness import REFINE_TOL, _golden_min
+
+    phi_star = 0.0 if w.corner <= 0 else math.pi / w.n
+    half = np.linspace(0.0, math.pi / 2, max(grid[0] // 2 + 1, 3))
+    f, g = product_profile(w, half)
+    i = int(np.argmin(f + 2 * w.corner * g * math.cos(w.n * phi_star)))
+    lo, hi = half[max(i - 1, 0)], half[min(i + 1, len(half) - 1)]
+    theta_best, val_best = _golden_min(lambda t: product_value(w, t, phi_star), lo, hi, REFINE_TOL)
+    for theta_edge in (0.0, math.pi / 2):
+        val_edge = product_value(w, theta_edge, phi_star)
+        if val_edge < val_best:
+            theta_best, val_best = theta_edge, val_edge
+    grid_min = dense_grid_min(w, grid)
+    if abs(grid_min - val_best) > tol:
+        raise RuntimeError(
+            f"minimize_over_products: 2-D grid minimum {grid_min} and refined minimum "
+            f"{val_best} disagree beyond {tol}"
+        )
+    return val_best, (theta_best, phi_star)

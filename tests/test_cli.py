@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -397,6 +398,50 @@ BAD_WITNESS_FILES = {
     "missing-file": None,
     "directory": "",
 }
+
+
+class TestWitnessGridCap:
+    @pytest.mark.parametrize("grid", ["1000000000000x4", "4x1000000000000"])
+    def test_cap_checked_before_the_grid(self, capsys, monkeypatch, grid):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the validation grid was allocated")
+
+        monkeypatch.setattr(witness.np, "linspace", no_grid)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["witness", "W5", "--validate", "--grid", grid])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        size = tuple(map(int, grid.split("x")))
+        assert err == (
+            f"symppt: error: minimize_over_products: grid {size} exceeds {witness.GRID_SIDE_CAP} per side\n"
+        )
+        assert peak < 1 << 20
+
+
+# Witness files whose product-state values leave double range: C(1100, 550)
+# converts to no double, and 1e300 * C(600, a) overflows to inf, then nan.
+NONFINITE_WITNESS_FILES = {
+    "n=1100": {"name": "wide", "diagonal": [1.0] * 1101, "corner": -1.0},
+    "1e300": {"name": "huge", "diagonal": [1e300] * 601, "corner": -1.0},
+}
+
+
+class TestNonFiniteWitnessFiles:
+    @pytest.mark.parametrize("extra", [["--validate"], []])
+    @pytest.mark.parametrize("case", sorted(NONFINITE_WITNESS_FILES))
+    def test_exits_1_with_one_error_line(self, capsys, tmp_path, case, extra):
+        data = NONFINITE_WITNESS_FILES[case]
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["witness", "--witness-file", str(path)] + extra)
+        assert (code, out) == (1, "")
+        name = data["name"]
+        assert err == f"symppt: error: witness {name}: product-state expectation leaves double range\n"
 
 
 class TestWitnessFileErrors:

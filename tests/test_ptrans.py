@@ -28,7 +28,7 @@ from symppt import (
     schmidt_spectrum,
     symmetric_dimension,
 )
-from symppt.ptrans import DIM_CAP, _min_eigenvalues
+from symppt.ptrans import DIM_CAP, _min_eigenvalues, _weight_stacks
 
 from oracles import min_eig_per_block, pt_shuffle, random_pure, scatter_blocks, tilted_eigh
 
@@ -200,6 +200,9 @@ class TestMaxmixedPt:
                 assert len(diffs) == 1, (n, k, d)
                 weights |= diffs
             assert len(weights) == len(blocks), (n, k, d)
+            # qudit_min_eig_check hands the stacks to the eigensolvers unsymmetrized.
+            for _, stack in _weight_stacks(bip):
+                assert stack.tobytes() == stack.swapaxes(-1, -2).tobytes(), (n, k, d)
 
 
 def qudit_cuts():

@@ -2,11 +2,13 @@
 
 import json
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symppt import (
@@ -20,12 +22,16 @@ from symppt import (
     mix_with_identity,
     product_state_expectation,
     sappt_threshold_qubits,
+    witness,
     witness_from_json,
     witness_to_json,
 )
-from symppt.witness import _expectations, _ghz_mixtures
+from symppt.witness import GRID_AGREEMENT_TOL, GRID_SIDE_CAP, _expectations, _ghz_mixtures
+
+from oracles import dense_grid_min, minimize_over_products_dense, product_value
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+COEFF = st.floats(-100, 100)
 
 
 def float_bits(values) -> bytes:
@@ -152,6 +158,14 @@ class TestProductExpectation:
                 expectation_value(rho, w), abs=1e-12
             )
 
+    def test_bitwise_equal_to_oracle(self):
+        rng = np.random.default_rng(73)
+        for name in ("W5", "W7", "W9"):
+            w = builtin_witness(name)
+            for theta, phi in rng.uniform(-7, 7, size=(300, 2)):
+                got = product_state_expectation(w, theta, phi)
+                assert float_bits([got]) == float_bits([product_value(w, theta, phi)])
+
     def test_phi_periodicity(self):
         rng = np.random.default_rng(71)
         for name, n in [("W5", 5), ("W7", 7), ("W9", 9)]:
@@ -220,6 +234,95 @@ class TestMinimizeOverProducts:
     def test_too_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
             minimize_over_products(builtin_witness("W5"), grid=(2, 1))
+
+    def test_grid_side_cap(self):
+        w = builtin_witness("W5")
+        for grid in [(GRID_SIDE_CAP + 1, 4), (4, GRID_SIDE_CAP + 1)]:
+            with pytest.raises(ValueError, match=f"exceeds {GRID_SIDE_CAP} per side"):
+                minimize_over_products(w, grid)
+        val, _ = minimize_over_products(w, (GRID_SIDE_CAP, GRID_SIDE_CAP))
+        assert val == pytest.approx(0.00276, abs=1e-4)
+
+    def test_cross_check_memory_does_not_grow_with_w_times_h(self):
+        w = builtin_witness("W9")
+        minimize_over_products(w, (5, 3))
+        tracemalloc.start()
+        try:
+            minimize_over_products(w, (2881, 1440))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def outcome(minimize, *args):
+    """(value, (theta, phi)) or the agreement error's message, as an exact repr."""
+    try:
+        return repr(minimize(*args))
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def raw_grid_min(w, grid) -> float:
+    """The library's 2-D grid minimum, read from the agreement error that a
+    negative tolerance forces on every call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "GRID_AGREEMENT_TOL", -1.0)
+        with pytest.raises(RuntimeError) as err:
+            minimize_over_products(w, grid)
+    return float(str(err.value).split()[4])
+
+
+@st.composite
+def palindromic_witnesses(draw):
+    half = draw(st.lists(COEFF, min_size=1, max_size=8))
+    middle = draw(st.lists(COEFF, max_size=1))
+    return Witness("random", tuple(half + middle + half[::-1]), draw(COEFF))
+
+
+class TestGridCrossCheck:
+    """The two-column cross-check against the full W x H array of tests/oracles.py,
+    bit for bit: the result, the raw grid minimum and the agreement error."""
+
+    def check(self, w, grid):
+        assert outcome(minimize_over_products, w, grid) == outcome(
+            minimize_over_products_dense, w, grid, GRID_AGREEMENT_TOL
+        )
+        assert float_bits([raw_grid_min(w, grid)]) == float_bits([dense_grid_min(w, grid)])
+
+    @pytest.mark.parametrize("grid", [(3, 1), (721, 360), (1441, 720), (2881, 1440)])
+    @pytest.mark.parametrize("name", ["W5", "W7", "W9"])
+    def test_builtins(self, name, grid):
+        self.check(builtin_witness(name), grid)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(w=palindromic_witnesses(), grid=st.tuples(st.integers(3, 300), st.integers(1, 300)))
+    @example(w=Witness("dip", (1.0, -5.0, -5.0, 1.0), 0.0), grid=(4, 1))
+    @example(w=Witness("dip", (1.0, -5.0, -5.0, 1.0), 2.0), grid=(40, 7))
+    def test_random_witnesses(self, w, grid):
+        self.check(w, grid)
+
+    def test_agreement_error_example(self):
+        with pytest.raises(RuntimeError, match="disagree beyond"):
+            minimize_over_products(Witness("dip", (1.0, -5.0, -5.0, 1.0), 0.0), (4, 1))
+
+
+# Product-state values leave double range: C(1100, 550) is no double, and
+# 1e300 * C(600, a) overflows to inf, which meets 0 as nan.
+NONFINITE_WITNESSES = {"n=1100": ((1.0,) * 1101, -1.0), "1e300": ((1e300,) * 601, -1.0)}
+
+
+class TestNonFiniteProfiles:
+    @pytest.mark.parametrize("case", sorted(NONFINITE_WITNESSES))
+    def test_value_error_and_no_warning(self, case):
+        w = Witness(case, *NONFINITE_WITNESSES[case])
+        message = f"witness {case}: product-state expectation leaves double range"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                product_state_expectation(w, 0.5, 0.0)
+            with pytest.raises(ValueError, match=message):
+                minimize_over_products(w)
 
 
 class TestDetectionThreshold:

@@ -160,19 +160,16 @@ def cmd_table1(args) -> Table:
     return Table({}, "rows", columns, rows)
 
 
-def _numeric_spectrum(bip: Bipartition) -> Spectrum:
-    return Spectrum.from_eigenvalues(np.linalg.eigvalsh(maxmixed_pt(bip).matrix.real))
-
-
 def cmd_spectrum(args) -> Table:
     bip = Bipartition(args.n, args.k if args.k is not None else args.n // 2)
     header = {"n": bip.n, "k": bip.k}
+    if args.mode != "analytic":
+        numeric = Spectrum.from_eigenvalues(np.linalg.eigvalsh(maxmixed_pt(bip).matrix))
     if args.mode != "both":
-        spec = maxmixed_pt_spectrum(bip) if args.mode == "analytic" else _numeric_spectrum(bip)
+        spec = maxmixed_pt_spectrum(bip) if args.mode == "analytic" else numeric
         return Table(header, "entries", ("value", "multiplicity"), list(spec.entries))
 
     analytic = maxmixed_pt_spectrum(bip)
-    numeric = _numeric_spectrum(bip)
     if [m for _, m in analytic.entries] != [m for _, m in numeric.entries]:
         raise RuntimeError("spectrum: numeric degeneracy structure deviates from the closed form")
     rows = []
@@ -227,14 +224,19 @@ def cmd_qudit_check(args) -> Table:
     if args.nmax < 2:
         raise ValueError(f"qudit-check: nmax must be >= 2, got {args.nmax}")
     rows = []
-    skipped = 0
     worst_ratio = 0.0
+    # S(m) = C(m + d - 1, d - 1) = prod_i (m + i) / i is log-concave in m, so
+    # log dim(n, k) = log S(k) + log S(n - k) is concave in k and symmetric about n/2:
+    # nondecreasing on 1 <= k <= n/2, so past the first k over the cap every k is.
+    # dim(n, 1) = d S(n - 1) grows with n, so past the first n whose k = 1 cut is over,
+    # every n is.  Of the floor(N^2 / 4) cuts with n <= N, all but the rows are skipped.
     for n in range(2, args.nmax + 1):
+        if Bipartition(n, 1, args.d).dim > DIM_CAP:
+            break
         for k in range(1, n // 2 + 1):
             bip = Bipartition(n, k, args.d)
             if bip.dim > DIM_CAP:
-                skipped += 1
-                continue
+                break
             numeric, conjectured = qudit_min_eig_check(n, args.d, k)
             delta = abs(numeric - float(conjectured))
             # eigvalsh rounds by about size * eps * norm on one weight block:
@@ -246,9 +248,10 @@ def cmd_qudit_check(args) -> Table:
     worst = max((row[5] for row in rows), default=0.0)
     what = f"qudit-check: max |delta| / ({QUDIT_CHECK_REL_TOL} * conjectured + eigensolver rounding)"
     violation = _limit(what, worst_ratio, 1.0)
+    total = args.nmax**2 // 4
+    skipped = total - len(rows)
     note = ""
     if skipped:
-        total = skipped + len(rows)
         note = f"qudit-check: skipped {skipped} of {total} cuts: bipartite dimension above {DIM_CAP}"
     columns = ("n", "k", "dim", "min_eig", "conjectured", "abs_delta")
     trailer = {"max_abs_delta": worst}
@@ -257,10 +260,10 @@ def cmd_qudit_check(args) -> Table:
 
 def cmd_witness(args) -> Table:
     w, n = _resolve_witness(args)
-    if args.threshold and not args.validate and args.p is None:
+    if args.threshold:
         thr = detection_threshold(w, n)
         return Table({"witness": w.name, "detection_threshold": thr}, text=_fmt(thr) + "\n")
-    if args.validate and not args.threshold and args.p is None:
+    if args.validate:
         val, (theta, phi) = minimize_over_products(w, args.grid)
         text = f"min={_fmt(val)} theta={_fmt(theta)} phi={_fmt(phi)}\n"
         return Table({"witness": w.name, "product_min": val, "theta": theta, "phi": phi}, text=text)
@@ -344,9 +347,10 @@ def build_parser() -> _Parser:
     p.add_argument("witness", nargs="?", default=None, help="builtin witness name (W5/W7/W9)")
     p.add_argument("--witness-file", default=None, help="JSON witness file")
     p.add_argument("--n", type=int, default=None, help="qubit count (default witness dim - 1)")
-    p.add_argument("--p", type=float, default=None, help="mixture parameter for the expectation")
-    p.add_argument("--validate", action="store_true", help="only the product-state minimum")
-    p.add_argument("--threshold", action="store_true", help="only the detection threshold")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--p", type=float, default=None, help="mixture parameter for the expectation")
+    only.add_argument("--validate", action="store_true", help="only the product-state minimum")
+    only.add_argument("--threshold", action="store_true", help="only the detection threshold")
     p.add_argument("--grid", type=_parse_grid, default=GRID_DEFAULT, help="validation grid WxH")
     return parser
 

@@ -82,14 +82,8 @@ class Spectrum:
         vals = np.sort(np.asarray(values, dtype=float))
         noise = len(vals) * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)
         new_level = np.diff(vals) > DEGENERACY_REL * np.abs(vals[1:]) + noise
-        entries = []
-        start = 0
-        for i in range(1, len(vals) + 1):
-            if i == len(vals) or new_level[i - 1]:
-                group = vals[start:i]
-                entries.append((float(group.mean()), len(group)))
-                start = i
-        return cls(tuple(entries))
+        groups = np.split(vals, np.flatnonzero(new_level) + 1) if vals.size else []
+        return cls(tuple((float(group.mean()), len(group)) for group in groups))
 
     @property
     def dimension(self) -> int:
@@ -143,7 +137,7 @@ def _min_eigenvalues(mats: np.ndarray) -> np.ndarray:
     numpy's eigh diagonalizes a stack matrix by matrix with the same LAPACK
     call, so each value is bitwise that of the matrix alone.
     """
-    _check_hermitian(mats, HERM_TOL, "min_eigenvalue: operator is not Hermitian within tolerance")
+    _check_hermitian(mats, HERM_TOL, "min_eigenvalue: operator is not Hermitian within 1e-10")
     herm = (mats + mats.conj().swapaxes(-1, -2)) / 2
     w, v = np.linalg.eigh(herm)
     vec = v[..., :1]

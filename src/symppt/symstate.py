@@ -195,14 +195,15 @@ class BipartiteOperator:
 
     Row index i = a * dim_b + b for A-side label index a and B-side label
     index b (row-major, A first).  The convention is fixed so that partial
-    transposition and file dumps are reproducible bit for bit.
+    transposition and file dumps are reproducible bit for bit.  Real input
+    (bool, int or float) is stored as float64, complex input as complex128.
     """
 
     bipartition: Bipartition
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         object.__setattr__(self, "matrix", mat)
         dim = self.bipartition.dim
         if mat.shape != (dim, dim):

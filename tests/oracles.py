@@ -286,3 +286,21 @@ def minimize_over_products_dense(w, grid, tol: float):
             f"{val_best} disagree beyond {tol}"
         )
     return val_best, (theta_best, phi_star)
+
+
+def spectrum_entries_by_index(values) -> tuple:
+    """Spectrum.from_eigenvalues grouped by an index loop over the sorted values:
+    the route the np.split grouping must reproduce bit for bit."""
+    from symppt.ptrans import DEGENERACY_REL
+
+    vals = np.sort(np.asarray(values, dtype=float))
+    noise = len(vals) * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)
+    new_level = np.diff(vals) > DEGENERACY_REL * np.abs(vals[1:]) + noise
+    entries = []
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or new_level[i - 1]:
+            group = vals[start:i]
+            entries.append((float(group.mean()), len(group)))
+            start = i
+    return tuple(entries)

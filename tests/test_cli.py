@@ -5,6 +5,7 @@ import io
 import json
 import math
 import struct
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -138,6 +139,20 @@ class TestSpectrum:
         code, _, err = run(capsys, ["spectrum", "--n", "5", "--k", "3"])
         assert code == 1
         assert "k" in err
+
+    def test_numeric_spectrum_holds_one_real_matrix(self, capsys):
+        # The dense float64 matrix is dim^2 * 8 bytes; its Hermitian check and
+        # the eigensolver's copy stay below three more of it.
+        dim = Bipartition(60, 30).dim
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["spectrum", "--n", "60", "--mode", "numeric"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert out.startswith("value,multiplicity\n")
+        assert peak < 4 * dim * dim * 8
 
     @pytest.mark.parametrize("mode", ["numeric", "both"])
     def test_dimension_cap(self, capsys, mode):
@@ -289,6 +304,19 @@ class TestScanChecks:
         assert err == "symppt: error: BipartiteOperator: matrix is not Hermitian within 1e-12\n"
 
 
+def stub_qudit_min_eig_check(monkeypatch) -> list:
+    """Replace qudit-check's eigensolve by the constant (0.5, 1/2); returns the
+    list that collects the (n, k) of every call."""
+    calls = []
+
+    def stub(n, d, k):
+        calls.append((n, k))
+        return 0.5, Fraction(1, 2)
+
+    monkeypatch.setattr(cli, "qudit_min_eig_check", stub)
+    return calls
+
+
 class TestQuditCheck:
     def test_qutrits(self, capsys):
         code, out, _ = run(capsys, ["qudit-check", "--d", "3", "--nmax", "5"])
@@ -316,6 +344,65 @@ class TestQuditCheck:
         assert code == 0
         assert [line.split(",")[:3] for line in out.splitlines()[1:]] == [["2", "1", "900"]]
         assert err == "qudit-check: skipped 1 of 2 cuts: bipartite dimension above 5000\n"
+
+    @pytest.mark.parametrize("nmax", [15, 18, 19, 57, 58, 200])
+    @pytest.mark.parametrize("d", [2, 3, 4, 7])
+    def test_cuts_match_brute_force_enumeration(self, capsys, monkeypatch, d, nmax):
+        calls = stub_qudit_min_eig_check(monkeypatch)
+        code, out, err = run(capsys, ["qudit-check", "--d", str(d), "--nmax", str(nmax)])
+        dims = {
+            (n, k): math.comb(k + d - 1, d - 1) * math.comb(n - k + d - 1, d - 1)
+            for n in range(2, nmax + 1)
+            for k in range(1, n // 2 + 1)
+        }
+        kept = [cut for cut, dim in dims.items() if dim <= cli.DIM_CAP]
+        assert code == 0
+        assert calls == kept
+        assert out == "".join(
+            ["n,k,dim,min_eig,conjectured,abs_delta\n"]
+            + [f"{n},{k},{dims[n, k]},0.5,1/2,0\n" for n, k in kept]
+        )
+        skipped = len(dims) - len(kept)
+        assert err == (
+            f"qudit-check: skipped {skipped} of {len(dims)} cuts: bipartite dimension above 5000\n"
+            if skipped
+            else ""
+        )
+
+    def test_huge_nmax_stops_at_the_cap(self, capsys):
+        # d = 4: the k = 1 cut leaves the cap at n = 19, so --nmax 19 runs every
+        # cut a larger nmax can run.
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["qudit-check", "--d", "4", "--nmax", "1000000"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert elapsed < 20
+        rows = out.count("\n") - 1
+        assert err == (
+            f"qudit-check: skipped {250_000_000_000 - rows} of 250000000000 cuts: "
+            "bipartite dimension above 5000\n"
+        )
+        assert run(capsys, ["qudit-check", "--d", "4", "--nmax", "19"])[1] == out
+
+    def test_huge_qubit_nmax_enumerates_only_cuts_under_the_cap(self, capsys, monkeypatch):
+        # Qubit cuts stay under the cap up to n = 2500 (k = 1), with ever fewer k
+        # per n; a k loop that ran to n/2 would build 1.5 million cuts.
+        calls = stub_qudit_min_eig_check(monkeypatch)
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["qudit-check", "--d", "2", "--nmax", "1000000"])
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        under_cap = [
+            (n, k)
+            for n in range(2, 2501)
+            for k in range(1, n // 2 + 1)
+            if (k + 1) * (n - k + 1) <= cli.DIM_CAP
+        ]
+        assert calls == under_cap
+        assert err == (
+            f"qudit-check: skipped {250_000_000_000 - len(calls)} of 250000000000 cuts: "
+            "bipartite dimension above 5000\n"
+        )
 
     @pytest.mark.parametrize("rel_error,expected_code", [(5e-10, 0), (2e-9, 2)])
     def test_relative_tolerance(self, capsys, monkeypatch, rel_error, expected_code):
@@ -372,6 +459,18 @@ class TestWitnessCommand:
         assert data["product_min"] == pytest.approx(0.001975, abs=1e-4)
         assert data["product_argmin"]["theta"] == pytest.approx(0.0, abs=1e-3)
         assert data["certified_interval"][0] < data["certified_interval"][1]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(["--validate"], ["--threshold"]), (["--threshold"], ["--p", "0.97"]), (["--validate"], ["--p", "0.97"])],
+    )
+    def test_only_flags_are_exclusive(self, capsys, first, second):
+        for argv in (["witness", "W5"] + first + second, ["witness", "W5"] + second + first):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("symppt: error: argument ")
+            assert "not allowed with argument" in err
+            assert len(err.splitlines()) == 1
 
     def test_unknown_witness(self, capsys):
         code, _, err = run(capsys, ["witness", "W4"])

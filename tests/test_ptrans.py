@@ -1,10 +1,13 @@
 """Partial transposition, analytic spectra, ladder operators, bounds."""
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symppt import (
     Bipartition,
@@ -30,7 +33,14 @@ from symppt import (
 )
 from symppt.ptrans import DIM_CAP, _min_eigenvalues, _weight_stacks
 
-from oracles import min_eig_per_block, pt_shuffle, random_pure, scatter_blocks, tilted_eigh
+from oracles import (
+    min_eig_per_block,
+    pt_shuffle,
+    random_pure,
+    scatter_blocks,
+    spectrum_entries_by_index,
+    tilted_eigh,
+)
 
 
 def random_hermitian(bip, rng):
@@ -100,6 +110,21 @@ class TestMinEigenvalue:
         object.__setattr__(op, "matrix", mat + 1e-6 * np.triu(np.ones_like(mat), 1))
         with pytest.raises(ValueError):
             min_eigenvalue(op)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_hermitian_check_names_its_tolerance(self, kind):
+        bip = Bipartition(5, 2)
+        if kind == "real":
+            op = maxmixed_pt(bip)
+        else:
+            op = partial_transpose_a(embed_bipartite(mix_with_identity(5, 0.9, ghz_state(5)), bip))
+        assert op.matrix.dtype == (np.float64 if kind == "real" else np.complex128)
+        op.matrix[0, 1] += 5e-11
+        min_eigenvalue(op)
+        op.matrix[0, 1] += 1e-10
+        with pytest.raises(ValueError) as info:
+            min_eigenvalue(op)
+        assert str(info.value) == "min_eigenvalue: operator is not Hermitian within 1e-10"
 
 
 def hermitian_stack(count: int, dim: int, seed: int) -> np.ndarray:
@@ -290,6 +315,28 @@ class TestSpectrumGrouping:
 
     def test_dimension(self):
         assert Spectrum.from_eigenvalues([1.0, 2.0, 2.0]).dimension == 3
+
+    def test_empty_input(self):
+        assert Spectrum.from_eigenvalues([]).entries == ()
+        assert Spectrum.from_eigenvalues(np.zeros(0)).entries == ()
+
+    # Values drawn from a few levels, each nudged by a few ulps or by about the
+    # relative degeneracy gap, so ties, degenerate runs and near-splits all occur.
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1e-19, 2e-10, 0.1, 0.5, -0.3, 7.0]),
+                st.sampled_from([0.0, 1e-16, -3e-16, 5e-7, -2e-6, 1e-3]),
+            ),
+            max_size=40,
+        )
+    )
+    def test_bitwise_equal_to_index_loop(self, draws):
+        values = [level * (1 + nudge) + nudge * 1e-12 for level, nudge in draws]
+        got = Spectrum.from_eigenvalues(values).entries
+        want = spectrum_entries_by_index(values)
+        assert [(struct.pack("<d", v), m) for v, m in got] == [(struct.pack("<d", v), m) for v, m in want]
 
 
 class TestLadderOperators:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from symppt import (
     Bipartition,
+    BipartiteOperator,
     PureSymmetricState,
     SymmetricDensityMatrix,
     coherent_state,
@@ -20,6 +21,7 @@ from symppt import (
     embed_pure,
     embedding_matrix,
     ghz_state,
+    maxmixed_pt,
     mix_with_identity,
     state_from_json,
     state_to_json,
@@ -282,6 +284,51 @@ class TestValidation:
             SymmetricDensityMatrix(2, 2, np.diag([0.9, 0.4, -0.3]))
         with pytest.raises(ValueError):
             SymmetricDensityMatrix(2, 2, np.diag([0.5, 0.3, 0.3]))
+
+
+class TestBipartiteOperator:
+    """Real input stays real (float64), complex input is complex128."""
+
+    @pytest.mark.parametrize("dtype", [bool, int, float, np.float32])
+    def test_real_input_is_float64(self, dtype):
+        bip = Bipartition(3, 1)
+        mat = np.eye(bip.dim, dtype=dtype)
+        op = BipartiteOperator(bip, mat)
+        assert op.matrix.dtype == np.float64
+        assert np.array_equal(op.matrix, np.eye(bip.dim))
+
+    def test_real_list_input_is_float64(self):
+        op = BipartiteOperator(Bipartition(2, 1), [[int(i == j) for j in range(4)] for i in range(4)])
+        assert op.matrix.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [complex, np.complex64])
+    def test_complex_input_is_complex128(self, dtype):
+        bip = Bipartition(3, 1)
+        op = BipartiteOperator(bip, np.eye(bip.dim, dtype=dtype))
+        assert op.matrix.dtype == np.complex128
+
+    def test_strings_rejected(self):
+        bip = Bipartition(2, 1)
+        with pytest.raises(ValueError):
+            BipartiteOperator(bip, np.full((bip.dim, bip.dim), "x"))
+
+    def test_transposed_uniform_state_is_real(self):
+        for n, k, d in [(5, 2, 2), (6, 3, 2), (4, 2, 3)]:
+            assert maxmixed_pt(Bipartition(n, k, d)).matrix.dtype == np.float64
+
+    @pytest.mark.parametrize("offset", [5e-13, 1e-12, 2e-12])
+    def test_real_check_equals_check_of_complex_embedding(self, offset):
+        mat = np.eye(6)
+        mat[1, 0] = offset
+        outcomes = []
+        for m in (mat, mat.astype(complex)):
+            try:
+                _check_operators(m[None])
+                outcomes.append("ok")
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == "ok") == (offset <= 1e-12)
 
 
 class TestStackedChecks:

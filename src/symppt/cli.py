@@ -22,23 +22,15 @@ from .combx import sappt_threshold_qubits, symmetric_dimension
 from .ptrans import (
     DIM_CAP,
     Spectrum,
-    _min_eigenvalues,
     maxmixed_pt,
     maxmixed_pt_spectrum,
-    min_eigenvalue,  # unused here; perfbench/tracing.py wraps cli.min_eigenvalue
+    min_eigenvalue,
     partial_transpose_a,
     qudit_min_eig_check,
 )
-from .symstate import (
-    Bipartition,
-    BipartiteOperator,  # unused here; perfbench/tracing.py wraps cli.BipartiteOperator
-    _check_operators,
-    embed_bipartite,
-)
+from .symstate import Bipartition, BipartiteOperator, embed_bipartite
 from .witness import (
     GRID_DEFAULT,
-    _expectations,
-    _ghz_mixtures,
     builtin_witness,
     detection_threshold,
     expectation_value,
@@ -160,10 +152,25 @@ def cmd_table1(args) -> Table:
     return Table({}, "rows", columns, rows)
 
 
+def _check_printable(bip: Bipartition) -> None:
+    """Refuse an exact spectrum whose longest integer, the j = 0 denominator (n+1) C(n, k), has
+    more digits than sys.get_int_max_str_digits() (0: no limit).  Below 10^12 digits lgamma's
+    log10 of it errs by far less than one, so it is built only within one digit of the limit."""
+    limit, n, k = sys.get_int_max_str_digits(), bip.n, bip.k
+    try:
+        log10 = (math.lgamma(n + 2) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(10)
+    except OverflowError:  # n past double range
+        log10 = math.inf
+    if limit and (log10 >= limit + 1 or log10 > limit - 1 and (n + 1) * math.comb(n, k) >= 10**limit):
+        raise ValueError(f"spectrum: denominator (n+1) C(n, k) has more than {limit} digits to print")
+
+
 def cmd_spectrum(args) -> Table:
     bip = Bipartition(args.n, args.k if args.k is not None else args.n // 2)
     header = {"n": bip.n, "k": bip.k}
-    if args.mode != "analytic":
+    if args.mode == "analytic":
+        _check_printable(bip)
+    else:
         numeric = Spectrum.from_eigenvalues(np.linalg.eigvalsh(maxmixed_pt(bip).matrix))
     if args.mode != "both":
         spec = maxmixed_pt_spectrum(bip) if args.mode == "analytic" else numeric
@@ -204,17 +211,15 @@ def cmd_scan(args) -> Table:
     pt_uniform = maxmixed_pt(bip).matrix
     pt_ghz = partial_transpose_a(embed_bipartite(ghz_witness_mixture(n, 0.0), bip)).matrix
 
-    # Each chunk of p values runs the per-p checks of ghz_witness_mixture,
-    # BipartiteOperator and min_eigenvalue on the whole stack at once.
+    # Each chunk of p values takes the per-p route as one stack: every check sees every matrix.
     ps = np.linspace(args.p_from, args.p_to, args.steps)
     step = _scan_chunk(bip.dim)
     rows = []
     for chunk in (ps[i:i + step] for i in range(0, len(ps), step)):
-        rho = _ghz_mixtures(n, chunk)
+        rho = ghz_witness_mixture(n, chunk)
         p = chunk[:, None, None]
-        pt = p * pt_uniform + (1 - p) * pt_ghz
-        _check_operators(pt)
-        values = zip(chunk.tolist(), _expectations(rho, w).tolist(), _min_eigenvalues(pt).tolist())
+        pt = BipartiteOperator(bip, p * pt_uniform + (1 - p) * pt_ghz)
+        values = zip(chunk.tolist(), expectation_value(rho, w).tolist(), min_eigenvalue(pt).tolist())
         rows += [(p, tr, lam, p >= p_min - 1e-12, tr < 0) for p, tr, lam in values]
     columns = ("p", "witness_expectation", "lambda_min", "sapt", "witness_detects")
     return Table({"n": n, "k": bip.k, "witness": w.name}, "rows", columns, rows)
@@ -332,8 +337,9 @@ def build_parser() -> _Parser:
     p = command("scan", cmd_scan, "witness expectation and PT minimum eigenvalue over a p range")
     p.add_argument("--n", type=int, default=None, help="qubit count (default witness dim - 1)")
     p.add_argument("--k", type=int, default=None, help="A-side size (default floor(n/2))")
-    p.add_argument("--witness", default=None, help="builtin witness name (W5/W7/W9)")
-    p.add_argument("--witness-file", default=None, help="JSON witness file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--witness", default=None, help="builtin witness name (W5/W7/W9)")
+    source.add_argument("--witness-file", default=None, help="JSON witness file")
     p.add_argument("--p-from", type=float, required=True, dest="p_from")
     p.add_argument("--p-to", type=float, required=True, dest="p_to")
     p.add_argument("--steps", type=int, default=11)
@@ -344,8 +350,9 @@ def build_parser() -> _Parser:
 
     p = command("witness", cmd_witness, "witness report: threshold, validity, expectation",
                 formats=("text", "json"))
-    p.add_argument("witness", nargs="?", default=None, help="builtin witness name (W5/W7/W9)")
-    p.add_argument("--witness-file", default=None, help="JSON witness file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("witness", nargs="?", default=None, help="builtin witness name (W5/W7/W9)")
+    source.add_argument("--witness-file", default=None, help="JSON witness file")
     p.add_argument("--n", type=int, default=None, help="qubit count (default witness dim - 1)")
     only = p.add_mutually_exclusive_group()
     only.add_argument("--p", type=float, default=None, help="mixture parameter for the expectation")

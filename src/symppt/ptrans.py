@@ -114,38 +114,33 @@ class LadderOperators:
 def partial_transpose_a(op: BipartiteOperator) -> BipartiteOperator:
     """Transpose the A-side indices: ((a,b),(a',b')) -> ((a',b),(a,b')).
 
-    An involution that preserves trace and Hermiticity.
+    An involution that preserves trace and Hermiticity; a stack is transposed matrix by matrix.
     """
     da, db = op.bipartition.dim_a, op.bipartition.dim_b
-    mat = op.matrix.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(op.dim, op.dim)
-    return BipartiteOperator(op.bipartition, mat.copy())
+    split = op.matrix.reshape(*op.matrix.shape[:-2], da, db, da, db)
+    # da, db >= 2, so the reshape of the transposed view is a copy.
+    return BipartiteOperator(op.bipartition, split.swapaxes(-4, -2).reshape(op.matrix.shape))
 
 
-def min_eigenvalue(op: BipartiteOperator) -> float:
-    """Smallest eigenvalue of a Hermitian bipartite operator.
+def min_eigenvalue(op: BipartiteOperator):
+    """Smallest eigenvalue of a Hermitian bipartite operator; for a stack, an array of one per matrix.
 
     The input is symmetrized before diagonalization to guard against
     accumulated assembly rounding; the returned eigenpair is verified to
-    satisfy ||H v - lam v|| <= 1e-10.
+    satisfy ||H v - lam v|| <= 1e-10.  numpy's eigh diagonalizes a stack
+    matrix by matrix with the same LAPACK call, so each value is bitwise
+    that of the matrix alone.
     """
-    return float(_min_eigenvalues(op.matrix[None])[0])
-
-
-def _min_eigenvalues(mats: np.ndarray) -> np.ndarray:
-    """min_eigenvalue for each matrix of a stack, with one stacked eigh.
-
-    numpy's eigh diagonalizes a stack matrix by matrix with the same LAPACK
-    call, so each value is bitwise that of the matrix alone.
-    """
+    mats = op.matrix
     _check_hermitian(mats, HERM_TOL, "min_eigenvalue: operator is not Hermitian within 1e-10")
     herm = (mats + mats.conj().swapaxes(-1, -2)) / 2
     w, v = np.linalg.eigh(herm)
     vec = v[..., :1]
-    residual = np.linalg.norm(herm @ vec - w[:, None, :1] * vec, axis=(-2, -1))
+    residual = np.linalg.norm(herm @ vec - w[..., None, :1] * vec, axis=(-2, -1))
     bad = residual[residual > RESIDUAL_TOL]
     if bad.size:
         raise RuntimeError(f"min_eigenvalue: eigenpair residual {bad[0]} exceeds 1e-10")
-    return w[:, 0]
+    return w[:, 0] if mats.ndim == 3 else float(w[0])
 
 
 def maxmixed_pt(bip: Bipartition) -> BipartiteOperator:

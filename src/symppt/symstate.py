@@ -46,30 +46,12 @@ HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
-# The checks below take a stack of matrices, shape (count, dim, dim): a single
-# object is the stack of one, and a p-scan checks a whole chunk at once.
-
-
 def _check_hermitian(mats: np.ndarray, tol: float, message: str) -> None:
-    """Raise ValueError(message) unless every matrix is Hermitian within tol."""
-    if np.any(np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > tol):
+    """Raise ValueError(message) unless each matrix of mats, one or a stack, is Hermitian within
+    tol.  |diff| is taken in place for real input; for complex, a new array beats a cast."""
+    diff = mats - mats.conj().swapaxes(-1, -2)
+    if np.any(np.abs(diff, out=None if np.iscomplexobj(diff) else diff).max(axis=(-2, -1)) > tol):
         raise ValueError(message)
-
-
-def _check_densities(mats: np.ndarray) -> None:
-    """The SymmetricDensityMatrix checks: Hermitian, unit trace, PSD."""
-    _check_hermitian(mats, HERM_TOL, "SymmetricDensityMatrix: matrix is not Hermitian within 1e-12")
-    traces = np.trace(mats, axis1=-2, axis2=-1)
-    bad = traces[np.abs(traces - 1.0) > NORM_TOL]
-    if bad.size:
-        raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
-    if np.linalg.eigvalsh((mats + mats.conj().swapaxes(-1, -2)) / 2).min() < -PSD_TOL:
-        raise ValueError("SymmetricDensityMatrix: negative eigenvalue beyond 1e-10")
-
-
-def _check_operators(mats: np.ndarray) -> None:
-    """The BipartiteOperator check: Hermitian within 1e-12."""
-    _check_hermitian(mats, HERM_TOL, "BipartiteOperator: matrix is not Hermitian within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -167,7 +149,10 @@ class PureSymmetricState:
 
 @dataclass(frozen=True)
 class SymmetricDensityMatrix:
-    """Density matrix on the symmetric sector: Hermitian, unit trace, PSD."""
+    """Density matrix on the symmetric sector: Hermitian, unit trace, PSD.
+
+    ``matrix`` is one (D, D) matrix or a (count, D, D) stack, each checked.
+    """
 
     n: int
     d: int
@@ -177,16 +162,22 @@ class SymmetricDensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
         dim = symmetric_dimension(self.n, self.d)
-        if mat.shape != (dim, dim):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
             raise ValueError(
                 f"SymmetricDensityMatrix: expected {dim}x{dim} for (n={self.n}, d={self.d}), "
                 f"got {mat.shape}"
             )
-        _check_densities(mat[None])
+        _check_hermitian(mat, HERM_TOL, "SymmetricDensityMatrix: matrix is not Hermitian within 1e-12")
+        traces = np.trace(mat, axis1=-2, axis2=-1)
+        bad = traces[np.abs(traces - 1.0) > NORM_TOL]
+        if bad.size:
+            raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
+        if np.linalg.eigvalsh((mat + mat.conj().swapaxes(-1, -2)) / 2).min() < -PSD_TOL:
+            raise ValueError("SymmetricDensityMatrix: negative eigenvalue beyond 1e-10")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -195,7 +186,8 @@ class BipartiteOperator:
 
     Row index i = a * dim_b + b for A-side label index a and B-side label
     index b (row-major, A first).  The convention is fixed so that partial
-    transposition and file dumps are reproducible bit for bit.  Real input
+    transposition and file dumps are reproducible bit for bit.  ``matrix`` is one
+    (dim, dim) matrix or a (count, dim, dim) stack, each checked.  Real input
     (bool, int or float) is stored as float64, complex input as complex128.
     """
 
@@ -206,15 +198,15 @@ class BipartiteOperator:
         mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         object.__setattr__(self, "matrix", mat)
         dim = self.bipartition.dim
-        if mat.shape != (dim, dim):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
             raise ValueError(
                 f"BipartiteOperator: expected {dim}x{dim} for {self.bipartition}, got {mat.shape}"
             )
-        _check_operators(mat[None])
+        _check_hermitian(mat, HERM_TOL, "BipartiteOperator: matrix is not Hermitian within 1e-12")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def dicke_decomposition(bip: Bipartition, label) -> list:
@@ -291,27 +283,22 @@ def coherent_state(n: int, theta: float, phi: float) -> PureSymmetricState:
     return PureSymmetricState(n, 2, amps)
 
 
-def mix_with_identity(n: int, p: float, psi: PureSymmetricState) -> SymmetricDensityMatrix:
+def mix_with_identity(n: int, p, psi: PureSymmetricState) -> SymmetricDensityMatrix:
     """Mixture p * (maximally mixed sector state) + (1-p) |psi><psi|.
 
     The spectrum has exactly two levels: 1 - (D-1)p/D once and p/D with
-    multiplicity D-1, D being the sector dimension.
+    multiplicity D-1, D being the sector dimension.  An array of p gives the
+    stack of their mixtures.
     """
     if psi.n != n:
         raise ValueError(f"mix_with_identity: state has n={psi.n}, expected {n}")
-    return SymmetricDensityMatrix(n, psi.d, _mixtures(np.array([p]), psi)[0])
-
-
-def _mixtures(ps: np.ndarray, psi: PureSymmetricState) -> np.ndarray:
-    """The mix_with_identity matrix for every p of ps, as one unchecked stack."""
-    bad = ps[~((0 <= ps) & (ps <= 1))]
+    p = np.asarray(p)[..., None, None]
+    bad = p[~((0 <= p) & (p <= 1))]
     if bad.size:
         raise ValueError(f"mix_with_identity: p must lie in [0, 1], got {bad[0]}")
-    p = ps[:, None, None]
-    dim = psi.dim
-    mat = (p / dim) * np.eye(dim, dtype=complex)
+    mat = (p / psi.dim) * np.eye(psi.dim, dtype=complex)
     mat += (1 - p) * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return mat
+    return SymmetricDensityMatrix(n, psi.d, mat)
 
 
 @functools.lru_cache(maxsize=None)

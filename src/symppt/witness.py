@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symstate import (
-    SymmetricDensityMatrix,
-    _check_densities,
-    _mixtures,
-    ghz_state,
-    mix_with_identity,
-)
+from .symstate import SymmetricDensityMatrix, ghz_state, mix_with_identity
 
 __all__ = [
     "Witness",
@@ -111,44 +105,34 @@ def builtin_witness(name: str) -> Witness:
     return Witness(name, tuple(float(x) for x in diag), float(corner))
 
 
-def ghz_witness_mixture(n: int, p: float) -> SymmetricDensityMatrix:
+def ghz_witness_mixture(n: int, p) -> SymmetricDensityMatrix:
     """The GHZ mixture in the phase the built-in witnesses couple to.
 
     The witnesses carry a negative corner, so they detect the GHZ
     representative with +1/2 corner coherence; that state is related to
     the -phase convention by a symmetric product unitary and shares its
-    spectrum, SAPPT threshold and entanglement properties.
+    spectrum, SAPPT threshold and entanglement properties.  An array of p
+    gives the stack of their mixtures.
     """
     return mix_with_identity(n, p, ghz_state(n, sign=+1))
 
 
-def _ghz_mixtures(n: int, ps: np.ndarray) -> np.ndarray:
-    """The ghz_witness_mixture matrix for every p of ps, as one stack that
-    passed the SymmetricDensityMatrix checks."""
-    mats = _mixtures(ps, ghz_state(n, sign=+1))
-    _check_densities(mats)
-    return mats
-
-
-def expectation_value(rho: SymmetricDensityMatrix, w: Witness) -> float:
-    """Tr(rho W) for a symmetric qubit density matrix."""
+def expectation_value(rho: SymmetricDensityMatrix, w: Witness):
+    """Tr(rho W) for a symmetric qubit density matrix; for a stack, an array of one per matrix."""
     if rho.d != 2:
         raise ValueError("expectation_value: witnesses act on qubit sectors")
     if rho.dim != w.dim:
         raise ValueError(f"expectation_value: state dim {rho.dim} != witness dim {w.dim}")
-    return float(_expectations(rho.matrix[None], w)[0])
-
-
-def _expectations(mats: np.ndarray, w: Witness) -> np.ndarray:
-    """Tr(rho W) for each matrix of a stack of symmetric qubit density matrices."""
+    mats = rho.matrix
     diagonal = np.array(w.diagonal)
     # One BLAS dot per matrix: a stacked matmul sums in another order and can change the last bit.
-    val = np.array([row @ diagonal for row in np.real(np.diagonal(mats, axis1=-2, axis2=-1))])
-    val = val + w.corner * (mats[:, 0, -1] + mats[:, -1, 0])
+    rows = np.real(np.diagonal(mats, axis1=-2, axis2=-1)).reshape(-1, w.dim)
+    val = np.array([row @ diagonal for row in rows])
+    val = val + w.corner * (mats[..., 0, -1] + mats[..., -1, 0])
     bad = np.imag(val)[np.abs(np.imag(val)) > 1e-12]
     if bad.size:
         raise RuntimeError(f"expectation_value: imaginary part {bad[0]} exceeds 1e-12")
-    return np.real(val)
+    return np.real(val) if mats.ndim == 3 else float(np.real(val[0]))
 
 
 def _values(w: Witness, thetas: np.ndarray, cos_nphi: np.ndarray) -> np.ndarray:

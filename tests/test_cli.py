@@ -1,14 +1,17 @@
 """Command-line behavior: content, determinism, exit codes."""
 
+import ast
 import contextlib
 import io
 import json
 import math
 import struct
+import sys
 import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +24,9 @@ from symppt import (
     Witness,
     builtin_witness,
     cli,
+    maxmixed_pt_spectrum,
     sappt_threshold_qubits,
+    symstate,
     witness,
     witness_to_json,
 )
@@ -34,6 +39,19 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_imports_no_private_names():
+    """cli calls only the public API of its sibling modules."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("symppt"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 class TestTable1:
@@ -141,8 +159,9 @@ class TestSpectrum:
         assert "k" in err
 
     def test_numeric_spectrum_holds_one_real_matrix(self, capsys):
-        # The dense float64 matrix is dim^2 * 8 bytes; its Hermitian check and
-        # the eigensolver's copy stay below three more of it.
+        # The dense float64 matrix is dim^2 * 8 bytes; its Hermitian check takes its
+        # absolute value in place, so the check and the eigensolver's copy each hold
+        # one more of it, never both at once.
         dim = Bipartition(60, 30).dim
         tracemalloc.start()
         try:
@@ -152,7 +171,39 @@ class TestSpectrum:
             tracemalloc.stop()
         assert (code, err) == (0, "")
         assert out.startswith("value,multiplicity\n")
-        assert peak < 4 * dim * dim * 8
+        assert peak < 2.5 * dim * dim * 8
+
+    def test_largest_printable_denominator(self, capsys):
+        # At the smallest digit limit, 640, n = 2120 is the largest balanced cut whose
+        # j = 0 denominator (n+1) C(n, n/2) prints; its lgamma estimate lies within
+        # one digit of the limit, so the guard decides on the integer itself.
+        denominators = [(n + 1) * math.comb(n, n // 2) for n in (2120, 2121)]
+        assert denominators[0] < 10**640 <= denominators[1]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, ["spectrum", "--n", "2120"])
+            assert (code, err) == (0, "")
+            entries = maxmixed_pt_spectrum(Bipartition(2120, 1060)).entries
+            assert out == "value,multiplicity\n" + "".join(f"{v},{m}\n" for v, m in entries)
+            code, out, err = run(capsys, ["spectrum", "--n", "2121", "--format", "json"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (1, "")
+        assert err == "symppt: error: spectrum: denominator (n+1) C(n, k) has more than 640 digits to print\n"
+
+    def test_huge_n_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["spectrum", "--n", "1000000000"])
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "")
+        assert err.startswith("symppt: error: spectrum: denominator (n+1) C(n, k) has more than ")
+        assert len(err.splitlines()) == 1
+
+    def test_huge_n_small_k_prints(self, capsys):
+        code, out, err = run(capsys, ["spectrum", "--n", "1000000000", "--k", "1"])
+        assert (code, err) == (0, "")
+        assert out == "value,multiplicity\n1/1000000001000000000,1000000001\n1/1000000000,999999999\n"
 
     @pytest.mark.parametrize("mode", ["numeric", "both"])
     def test_dimension_cap(self, capsys, mode):
@@ -278,14 +329,14 @@ class TestScanChecks:
     ARGV = ["scan", "--witness", "W5", "--p-from", "0.9", "--p-to", "1", "--steps", "100"]
 
     def test_density_check(self, capsys, monkeypatch):
-        mixtures = witness._mixtures
+        density = symstate.SymmetricDensityMatrix
 
-        def corrupt_middle(ps, psi):
-            mats = mixtures(ps, psi)
-            mats[len(mats) // 2, 0, 1] += 1e-9
-            return mats
+        def corrupt_middle(n, d, mats):
+            if mats.ndim == 3:
+                mats[len(mats) // 2, 0, 1] += 1e-9
+            return density(n, d, mats)
 
-        monkeypatch.setattr(witness, "_mixtures", corrupt_middle)
+        monkeypatch.setattr(symstate, "SymmetricDensityMatrix", corrupt_middle)
         code, out, err = run(capsys, self.ARGV)
         assert (code, out) == (1, "")
         assert err == "symppt: error: SymmetricDensityMatrix: matrix is not Hermitian within 1e-12\n"
@@ -485,6 +536,21 @@ class TestWitnessCommand:
         code, _, err = run(capsys, ["witness"])
         assert code == 1
         assert "witness" in err
+
+    @pytest.mark.parametrize("command", ["witness", "scan"])
+    def test_one_witness_source(self, capsys, command):
+        name = ["W5"] if command == "witness" else ["--witness", "W5"]
+        path = ["--witness-file", str(Path(__file__).parent / "golden" / "custom_witness.json")]
+        extra = ["--validate", "--grid", "5x3"] if command == "witness" else ["--p-from", "1", "--p-to", "1"]
+        for argv in ([command] + name + path + extra, [command] + path + name + extra):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("symppt: error: argument ")
+            assert "not allowed with argument" in err
+            assert len(err.splitlines()) == 1
+        code, out, err = run(capsys, [command] + extra)
+        assert (code, out) == (1, "")
+        assert err == "symppt: error: a witness name (W5/W7/W9) or --witness-file is required\n"
 
 
 BAD_WITNESS_FILES = {

@@ -31,7 +31,7 @@ from symppt import (
     schmidt_spectrum,
     symmetric_dimension,
 )
-from symppt.ptrans import DIM_CAP, _min_eigenvalues, _weight_stacks
+from symppt.ptrans import DIM_CAP, _weight_stacks
 
 from oracles import (
     min_eig_per_block,
@@ -87,6 +87,17 @@ class TestPartialTranspose:
             atol=1e-15,
         )
 
+    def test_stack_equals_each_matrix(self):
+        rng = np.random.default_rng(47)
+        bip = Bipartition(7, 3)
+        ops = [random_hermitian(bip, rng) for _ in range(4)]
+        stack = BipartiteOperator(bip, np.stack([op.matrix for op in ops]))
+        got = partial_transpose_a(stack).matrix
+        assert got.shape == stack.matrix.shape
+        assert got.tobytes() == np.stack([partial_transpose_a(op).matrix for op in ops]).tobytes()
+        assert not np.shares_memory(got, stack.matrix)
+        assert not np.shares_memory(partial_transpose_a(ops[0]).matrix, ops[0].matrix)
+
 
 class TestMinEigenvalue:
     def test_scaled_identity(self):
@@ -127,25 +138,28 @@ class TestMinEigenvalue:
         assert str(info.value) == "min_eigenvalue: operator is not Hermitian within 1e-10"
 
 
-def hermitian_stack(count: int, dim: int, seed: int) -> np.ndarray:
+def hermitian_stack(bip: Bipartition, count: int, seed: int) -> BipartiteOperator:
     rng = np.random.default_rng(seed)
-    mats = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    return mats + mats.conj().swapaxes(-1, -2)
+    shape = (count, bip.dim, bip.dim)
+    mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return BipartiteOperator(bip, mats + mats.conj().swapaxes(-1, -2))
 
 
 class TestStackedMinEigenvalues:
-    @pytest.mark.parametrize("dim", [12, 30, 41])
+    @pytest.mark.parametrize("dim", [12, 30, 35])
     def test_bitwise_equal_to_one_at_a_time(self, dim):
-        mats = hermitian_stack(9, dim, dim)
-        stacked = _min_eigenvalues(mats)
-        single = [_min_eigenvalues(mat[None])[0] for mat in mats]
+        bip = {12: Bipartition(5, 2), 30: Bipartition(9, 4), 35: Bipartition(10, 4)}[dim]
+        op = hermitian_stack(bip, 9, dim)
+        stacked = min_eigenvalue(op)
+        single = [min_eigenvalue(BipartiteOperator(op.bipartition, mat)) for mat in op.matrix]
+        assert {type(value) for value in single} == {float}
         assert stacked.tobytes() == np.array(single).tobytes()
 
     def test_non_hermitian_matrix_mid_stack(self):
-        mats = hermitian_stack(5, 12, 1)
-        mats[2, 0, 3] += 1e-9
+        op = hermitian_stack(Bipartition(5, 2), 5, 1)
+        op.matrix[2, 0, 3] += 1e-9
         with pytest.raises(ValueError, match="not Hermitian"):
-            _min_eigenvalues(mats)
+            min_eigenvalue(op)
 
     def test_bad_eigenpair_mid_stack(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -156,11 +170,11 @@ class TestStackedMinEigenvalues:
             v[2, 0, 0] += 1e-6
             return w, v
 
-        mats = hermitian_stack(5, 12, 2)
-        _min_eigenvalues(mats)
+        op = hermitian_stack(Bipartition(5, 2), 5, 2)
+        min_eigenvalue(op)
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(RuntimeError, match="residual"):
-            _min_eigenvalues(mats)
+            min_eigenvalue(op)
 
 
 class TestMaxmixedPt:

@@ -27,7 +27,7 @@ from symppt import (
     state_to_json,
     symmetric_dimension,
 )
-from symppt.symstate import _check_densities, _check_operators, split_coefficients
+from symppt.symstate import split_coefficients
 
 from oracles import brute_split_overlaps, qubit_occupation, random_density, random_pure
 
@@ -190,6 +190,14 @@ class TestMixWithIdentity:
         with pytest.raises(ValueError):
             mix_with_identity(5, 1.2, ghz_state(5))
 
+    def test_array_of_p_stacks_the_mixtures(self):
+        ps = np.array([0.0, 0.3, 0.97, 1.0])
+        single = [mix_with_identity(5, p, ghz_state(5)).matrix for p in ps.tolist()]
+        assert mix_with_identity(5, ps, ghz_state(5)).matrix.tobytes() == np.stack(single).tobytes()
+        with pytest.raises(ValueError) as info:
+            mix_with_identity(5, np.array([0.2, 1.5, 0.4]), ghz_state(5))
+        assert str(info.value) == "mix_with_identity: p must lie in [0, 1], got 1.5"
+
 
 # Every k | n-k cut with d = 2, n <= 30; d = 3, n <= 9; d = 4, n <= 7.
 TABLE_CUTS = [
@@ -323,7 +331,7 @@ class TestBipartiteOperator:
         outcomes = []
         for m in (mat, mat.astype(complex)):
             try:
-                _check_operators(m[None])
+                BipartiteOperator(Bipartition(3, 1), m)
                 outcomes.append("ok")
             except ValueError as exc:
                 outcomes.append(str(exc))
@@ -336,26 +344,33 @@ class TestStackedChecks:
 
     def test_density_not_hermitian_mid_stack(self):
         mats = np.stack([mix_with_identity(4, p, ghz_state(4)).matrix for p in (0.1, 0.5, 0.9)])
-        _check_densities(mats)
+        SymmetricDensityMatrix(4, 2, mats)
         mats[1, 0, 4] += 1e-9
         with pytest.raises(ValueError, match="SymmetricDensityMatrix: matrix is not Hermitian"):
-            _check_densities(mats)
+            SymmetricDensityMatrix(4, 2, mats)
 
     def test_density_trace_and_sign_mid_stack(self):
         mats = np.stack([np.eye(3, dtype=complex) / 3] * 3)
         mats[1] = np.diag([0.5, 0.3, 0.3])
         with pytest.raises(ValueError, match="trace"):
-            _check_densities(mats)
+            SymmetricDensityMatrix(2, 2, mats)
         mats[1] = np.diag([0.9, 0.4, -0.3])
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            _check_densities(mats)
+            SymmetricDensityMatrix(2, 2, mats)
 
     def test_operator_not_hermitian_mid_stack(self):
         mats = np.stack([np.eye(6, dtype=complex)] * 4)
-        _check_operators(mats)
+        BipartiteOperator(Bipartition(3, 1), mats)
         mats[2, 1, 0] = 1e-11
         with pytest.raises(ValueError, match="BipartiteOperator: matrix is not Hermitian"):
-            _check_operators(mats)
+            BipartiteOperator(Bipartition(3, 1), mats)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 6, 5), (2, 2, 6, 6)])
+    def test_shape_is_one_matrix_or_one_stack(self, shape):
+        with pytest.raises(ValueError, match=r"BipartiteOperator: expected 6x6"):
+            BipartiteOperator(Bipartition(3, 1), np.zeros(shape))
+        with pytest.raises(ValueError, match=r"SymmetricDensityMatrix: expected 6x6"):
+            SymmetricDensityMatrix(5, 2, np.zeros(shape))
 
 
 class TestJson:

@@ -26,7 +26,7 @@ from symppt import (
     witness_from_json,
     witness_to_json,
 )
-from symppt.witness import GRID_AGREEMENT_TOL, GRID_SIDE_CAP, _expectations, _ghz_mixtures
+from symppt.witness import GRID_AGREEMENT_TOL, GRID_SIDE_CAP
 
 from oracles import dense_grid_min, minimize_over_products_dense, product_value
 
@@ -120,13 +120,15 @@ class TestExpectation:
         w = builtin_witness("W9")
         ps = np.linspace(0.9, 1.0, 13)
         single = [expectation_value(ghz_witness_mixture(9, p), w) for p in ps.tolist()]
-        assert _expectations(_ghz_mixtures(9, ps), w).tobytes() == np.array(single).tobytes()
+        assert {type(value) for value in single} == {float}
+        stacked = expectation_value(ghz_witness_mixture(9, ps), w)
+        assert stacked.tobytes() == np.array(single).tobytes()
 
     def test_imaginary_part_mid_stack(self):
-        mats = _ghz_mixtures(5, np.array([0.2, 0.5, 0.8]))
-        mats[1, 0, -1] += 1e-9j
+        rho = ghz_witness_mixture(5, np.array([0.2, 0.5, 0.8]))
+        rho.matrix[1, 0, -1] += 1e-9j
         with pytest.raises(RuntimeError, match="imaginary part"):
-            _expectations(mats, builtin_witness("W5"))
+            expectation_value(rho, builtin_witness("W5"))
 
 
 class TestProductExpectation:

@@ -165,13 +165,26 @@ def _check_printable(bip: Bipartition) -> None:
         raise ValueError(f"spectrum: denominator (n+1) C(n, k) has more than {limit} digits to print")
 
 
+@functools.cache
+def _numeric_spectrum(bip: Bipartition) -> Spectrum:
+    """Grouped eigenvalues of the dense transposed uniform state, once per cut per process.
+    Only the Spectrum (at most k + 1 levels) is kept, never the matrix nor a failure."""
+    return Spectrum.from_eigenvalues(np.linalg.eigvalsh(maxmixed_pt(bip).matrix))
+
+
+@functools.cache
+def _product_min(w, grid: tuple[int, int]):
+    """minimize_over_products(w, grid), once per witness and grid per process."""
+    return minimize_over_products(w, grid)
+
+
 def cmd_spectrum(args) -> Table:
     bip = Bipartition(args.n, args.k if args.k is not None else args.n // 2)
     header = {"n": bip.n, "k": bip.k}
     if args.mode == "analytic":
         _check_printable(bip)
     else:
-        numeric = Spectrum.from_eigenvalues(np.linalg.eigvalsh(maxmixed_pt(bip).matrix))
+        numeric = _numeric_spectrum(bip)
     if args.mode != "both":
         spec = maxmixed_pt_spectrum(bip) if args.mode == "analytic" else numeric
         return Table(header, "entries", ("value", "multiplicity"), list(spec.entries))
@@ -269,13 +282,13 @@ def cmd_witness(args) -> Table:
         thr = detection_threshold(w, n)
         return Table({"witness": w.name, "detection_threshold": thr}, text=_fmt(thr) + "\n")
     if args.validate:
-        val, (theta, phi) = minimize_over_products(w, args.grid)
+        val, (theta, phi) = _product_min(w, args.grid)
         text = f"min={_fmt(val)} theta={_fmt(theta)} phi={_fmt(phi)}\n"
         return Table({"witness": w.name, "product_min": val, "theta": theta, "phi": phi}, text=text)
 
     p_min = sappt_threshold_qubits(n)
     thr = detection_threshold(w, n)
-    val, (theta, phi) = minimize_over_products(w, args.grid)
+    val, (theta, phi) = _product_min(w, args.grid)
     interval = [float(p_min), thr] if thr > float(p_min) else None
     report = {
         "witness": w.name,

@@ -209,10 +209,11 @@ def maxmixed_pt_spectrum(bip: Bipartition) -> Spectrum:
         raise ValueError("maxmixed_pt_spectrum: closed form is only available for qubits")
     n, k = bip.n, bip.k
     denom = (n + 1) * math.comb(n, k)
-    entries = tuple(
-        (Fraction(math.comb(n + 1, j), denom), n + 1 - 2 * j) for j in range(k + 1)
-    )
-    return Spectrum(entries)
+    entries, binom = [], 1
+    for j in range(k + 1):  # binom = C(n+1, j), by the exact recurrence
+        entries.append((Fraction(binom, denom), n + 1 - 2 * j))
+        binom = binom * (n + 1 - j) // (j + 1)
+    return Spectrum(tuple(entries))
 
 
 def _factor_ladders(n: int):

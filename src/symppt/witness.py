@@ -180,7 +180,7 @@ def _golden_min(f, lo: float, hi: float, tol: float):
 def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
     """Global minimum of the witness over spin-coherent product states.
 
-    Returns (value, (theta, phi)).  The corner term enters as
+    Returns (value, (theta, phi)) as Python floats.  The corner term enters as
     2 * corner * g(theta) * cos(n phi) with g >= 0, so the minimizing phi
     is 0 for corner <= 0 and pi/n otherwise, reducing the search to theta;
     the palindromic diagonal makes the profile symmetric about pi/2, so
@@ -218,7 +218,7 @@ def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
             f"minimize_over_products: 2-D grid minimum {grid_min} and refined minimum "
             f"{val_best} disagree beyond {GRID_AGREEMENT_TOL}"
         )
-    return val_best, (theta_best, phi_star)
+    return float(val_best), (float(theta_best), phi_star)
 
 
 def detection_threshold(w: Witness, n: int) -> float:

@@ -285,7 +285,7 @@ def minimize_over_products_dense(w, grid, tol: float):
             f"minimize_over_products: 2-D grid minimum {grid_min} and refined minimum "
             f"{val_best} disagree beyond {tol}"
         )
-    return val_best, (theta_best, phi_star)
+    return float(val_best), (float(theta_best), phi_star)
 
 
 def spectrum_entries_by_index(values) -> tuple:

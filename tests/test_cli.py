@@ -162,7 +162,9 @@ class TestSpectrum:
         # The dense float64 matrix is dim^2 * 8 bytes; its Hermitian check takes its
         # absolute value in place, so the check and the eigensolver's copy each hold
         # one more of it, never both at once.
+        # The memo is cleared first, so the cut is really assembled and diagonalised.
         dim = Bipartition(60, 30).dim
+        cli._numeric_spectrum.cache_clear()
         tracemalloc.start()
         try:
             code, out, err = run(capsys, ["spectrum", "--n", "60", "--mode", "numeric"])
@@ -171,7 +173,7 @@ class TestSpectrum:
             tracemalloc.stop()
         assert (code, err) == (0, "")
         assert out.startswith("value,multiplicity\n")
-        assert peak < 2.5 * dim * dim * 8
+        assert dim * dim * 8 <= peak < 2.5 * dim * dim * 8
 
     def test_largest_printable_denominator(self, capsys):
         # At the smallest digit limit, 640, n = 2120 is the largest balanced cut whose
@@ -213,6 +215,90 @@ class TestSpectrum:
         assert err.startswith("symppt: error: ")
         assert "exceeds cap 5000" in err
         assert len(err.splitlines()) == 1
+
+
+def clear_memos():
+    cli._numeric_spectrum.cache_clear()
+    cli._product_min.cache_clear()
+
+
+def counting(monkeypatch, name) -> list:
+    """Wrap cli's binding of name; returns the list of the first argument of every call."""
+    calls, func = [], getattr(cli, name)
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return func(*args)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+class TestMemo:
+    """The numeric spectrum per cut and the product-state minimum per (witness, grid)
+    are computed once per process: a warm command prints the bytes of a cold one."""
+
+    def warm_equals_cold(self, capsys, argvs):
+        cold = []
+        for argv in argvs:
+            clear_memos()
+            cold.append(run(capsys, argv))
+        clear_memos()
+        warm = [[run(capsys, argv) for argv in argvs] for _ in range(2)]
+        assert warm == [cold, cold]
+        return cold
+
+    def test_spectrum(self, capsys):
+        cuts = [(4, 2), (4, 1), (9, 4), (9, 1), (30, 15), (30, 7), (35, 17), (40, 20), (40, 1)]
+        argvs = [
+            ["spectrum", "--n", str(n), "--k", str(k), "--mode", mode, "--format", fmt]
+            for n, k in cuts for mode in ("numeric", "both") for fmt in ("csv", "json")
+        ]
+        cold = self.warm_equals_cold(capsys, argvs)
+        assert {code for code, _, _ in cold} == {0}
+        # Each cut prints its own spectrum: a memo keyed on n alone would repeat k's levels.
+        assert len({out for _, out, _ in cold}) == len(argvs)
+
+    def test_witness(self, capsys, tmp_path):
+        files = []
+        for name, corner in (("a", -9.0), ("b", -9.3)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"name": "custom", "diagonal": [0.03, -0.1, 1, 1, -0.1, 0.03],
+                                        "corner": corner}))
+            files.append(["--witness-file", str(path)])
+        sources = [["W5"], ["W7"], ["W9"]] + files
+        argvs = [
+            ["witness", *source, *extra, "--format", fmt]
+            for source in sources
+            for extra in ([], ["--validate"], ["--validate", "--grid", "721x360"])
+            for fmt in ("text", "json")
+        ]
+        cold = self.warm_equals_cold(capsys, argvs)
+        assert {code for code, _, _ in cold} == {0}
+        # Two files with one name but other coefficients validate to other minima.
+        assert cold[-4][1] != cold[-10][1]
+
+    def test_four_spectrum_commands_assemble_once(self, capsys, monkeypatch):
+        calls = counting(monkeypatch, "maxmixed_pt")
+        for mode in ("numeric", "both"):
+            for fmt in ("csv", "json"):
+                assert run(capsys, ["spectrum", "--n", "12", "--mode", mode, "--format", fmt])[0] == 0
+        assert calls == [Bipartition(12, 6)]
+
+    def test_report_and_validate_minimize_once_per_grid(self, capsys, monkeypatch):
+        calls = counting(monkeypatch, "minimize_over_products")
+        for argv in (["W9"], ["W9", "--validate", "--grid", "721x360"], ["W9", "--validate"]):
+            assert run(capsys, ["witness", *argv])[0] == 0
+        assert len(calls) == 1
+        assert run(capsys, ["witness", "W9", "--validate", "--grid", "1441x720"])[0] == 0
+        assert len(calls) == 2
+
+    def test_failures_are_not_cached(self, capsys, monkeypatch):
+        calls = counting(monkeypatch, "maxmixed_pt")
+        err = "symppt: error: maxmixed_pt_blocks: bipartite dimension 5041 exceeds cap 5000\n"
+        for _ in range(2):
+            assert run(capsys, ["spectrum", "--n", "140", "--mode", "numeric"]) == (1, "", err)
+        assert calls == [Bipartition(140, 70)] * 2
 
 
 class TestScan:

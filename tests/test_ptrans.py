@@ -317,6 +317,15 @@ class TestAnalyticSpectrum:
         with pytest.raises(ValueError):
             maxmixed_pt_spectrum(Bipartition(4, 2, 3))
 
+    def test_recurrence_equals_closed_form(self):
+        # The levels come from a binomial recurrence; each must equal the closed
+        # form C(n+1, j) / [(n+1) C(n, k)] with multiplicity n+1-2j exactly.
+        for n in range(2, 120):
+            for k in range(1, n // 2 + 1):
+                denom = (n + 1) * math.comb(n, k)
+                want = tuple((Fraction(math.comb(n + 1, j), denom), n + 1 - 2 * j) for j in range(k + 1))
+                assert maxmixed_pt_spectrum(Bipartition(n, k)).entries == want, (n, k)
+
 
 class TestSpectrumGrouping:
     def test_groups_degenerate_values(self):

@@ -198,6 +198,18 @@ class TestMinimizeOverProducts:
         assert theta == pytest.approx(0.381, abs=1e-3)
         assert phi == 0.0
 
+    @pytest.mark.parametrize(
+        "w",
+        [builtin_witness("W5"), builtin_witness("W7"), builtin_witness("W9"), Witness("zero", (0.0,) * 6, 0.0)],
+        ids=["W5", "W7", "W9", "zero"],
+    )
+    def test_returns_python_floats(self, w):
+        # W5's minimum is the edge point theta = pi/2; W7, W9 and the flat zero
+        # witness end on the golden-section path.  Both paths return plain floats.
+        val, (theta, phi) = minimize_over_products(w)
+        assert (type(val), type(theta), type(phi)) == (float, float, float)
+        assert (theta == math.pi / 2) == (w.name == "W5")
+
     def test_all_builtins_strictly_positive(self):
         for name in ("W5", "W7", "W9"):
             val, _ = minimize_over_products(builtin_witness(name))

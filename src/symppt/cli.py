@@ -276,6 +276,11 @@ def cmd_qudit_check(args) -> Table:
     return Table({"d": args.d}, "rows", columns, rows, trailer, note=note, violation=violation)
 
 
+def _invalid(w, val: float) -> str:
+    """The violation a negative product-state minimum makes: the witness certifies nothing."""
+    return f"witness {w.name}: product-state minimum {_fmt(val)} < 0, not a valid witness" if val < 0 else ""
+
+
 def cmd_witness(args) -> Table:
     w, n = _resolve_witness(args)
     if args.threshold:
@@ -284,12 +289,15 @@ def cmd_witness(args) -> Table:
     if args.validate:
         val, (theta, phi) = _product_min(w, args.grid)
         text = f"min={_fmt(val)} theta={_fmt(theta)} phi={_fmt(phi)}\n"
-        return Table({"witness": w.name, "product_min": val, "theta": theta, "phi": phi}, text=text)
+        header = {"witness": w.name, "product_min": val, "theta": theta, "phi": phi}
+        return Table(header, text=text, violation=_invalid(w, val))
 
     p_min = sappt_threshold_qubits(n)
     thr = detection_threshold(w, n)
     val, (theta, phi) = _product_min(w, args.grid)
-    interval = [float(p_min), thr] if thr > float(p_min) else None
+    # A valid witness has t >= 0, so with g = Tr rho(0) W < 0 it detects rho(p) exactly for p < p*.
+    certified = val >= 0 and expectation_value(ghz_witness_mixture(n, 0.0), w) < 0 and thr > float(p_min)
+    interval = [float(p_min), thr] if certified else None
     report = {
         "witness": w.name,
         "dim": w.dim,
@@ -316,7 +324,7 @@ def cmd_witness(args) -> Table:
         verdict = "entangled (witness)" if tr < 0 else "not detected"
         report.update(p=args.p, expectation=tr, verdict=verdict)
         lines += [f"expectation(p={_fmt(args.p)}): {_fmt(tr)}", f"verdict: {verdict}"]
-    return Table(report, text="\n".join(lines) + "\n")
+    return Table(report, text="\n".join(lines) + "\n", violation=_invalid(w, val))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:

@@ -109,12 +109,11 @@ def sappt_threshold_qubits(n: int) -> Fraction:
     """Smallest mixing probability p for which the uniparametric spectrum
     (1 - n*p/(n+1), p/(n+1), ..., p/(n+1)) of n qubits is SAPPT.
 
-    Exact value 1 / (1 + 2/[(n+1) C(n, floor(n/2))]).
+    Exact value 1 / (1 + 2/[(n+1) C(n, floor(n/2))]), the qudit threshold at d = 2.
     """
     if n < 2:
         raise ValueError(f"sappt_threshold_qubits: need n >= 2, got {n}")
-    scale = (n + 1) * math.comb(n, n // 2)
-    return Fraction(scale, scale + 2)
+    return sappt_threshold_qudits(n, 2)
 
 
 def sappt_threshold_qudits(n: int, d: int) -> Fraction:

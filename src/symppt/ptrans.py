@@ -54,7 +54,7 @@ __all__ = [
     "qudit_min_eig_check",
 ]
 
-HERM_TOL = 1e-10
+PT_HERM_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 DEGENERACY_REL = 1e-6
 DIM_CAP = 5000
@@ -127,19 +127,19 @@ def min_eigenvalue(op: BipartiteOperator):
 
     The input is symmetrized before diagonalization to guard against
     accumulated assembly rounding; the returned eigenpair is verified to
-    satisfy ||H v - lam v|| <= 1e-10.  numpy's eigh diagonalizes a stack
+    satisfy ||H v - lam v|| <= RESIDUAL_TOL.  numpy's eigh diagonalizes a stack
     matrix by matrix with the same LAPACK call, so each value is bitwise
     that of the matrix alone.
     """
     mats = op.matrix
-    _check_hermitian(mats, HERM_TOL, "min_eigenvalue: operator is not Hermitian within 1e-10")
+    _check_hermitian(mats, PT_HERM_TOL, f"min_eigenvalue: operator is not Hermitian within {PT_HERM_TOL}")
     herm = (mats + mats.conj().swapaxes(-1, -2)) / 2
     w, v = np.linalg.eigh(herm)
     vec = v[..., :1]
     residual = np.linalg.norm(herm @ vec - w[..., None, :1] * vec, axis=(-2, -1))
     bad = residual[residual > RESIDUAL_TOL]
     if bad.size:
-        raise RuntimeError(f"min_eigenvalue: eigenpair residual {bad[0]} exceeds 1e-10")
+        raise RuntimeError(f"min_eigenvalue: eigenpair residual {bad[0]} exceeds {RESIDUAL_TOL}")
     return w[:, 0] if mats.ndim == 3 else float(w[0])
 
 
@@ -338,7 +338,7 @@ def qudit_min_eig_check(n: int, d: int, k: int) -> tuple[float, Fraction]:
     # eigh only feeds the residual check; reporting its value changes printed digits on some cuts.
     w, v = np.linalg.eigh(best_block)
     if np.linalg.norm(best_block @ v[:, 0] - w[0] * v[:, 0]) > RESIDUAL_TOL:
-        raise RuntimeError("qudit_min_eig_check: eigenpair residual exceeds 1e-10")
+        raise RuntimeError(f"qudit_min_eig_check: eigenpair residual exceeds {RESIDUAL_TOL}")
     conjectured = Fraction(1, symmetric_dimension(n, d) * math.comb(n, k))
     return best, conjectured
 

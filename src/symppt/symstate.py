@@ -167,13 +167,13 @@ class SymmetricDensityMatrix:
                 f"SymmetricDensityMatrix: expected {dim}x{dim} for (n={self.n}, d={self.d}), "
                 f"got {mat.shape}"
             )
-        _check_hermitian(mat, HERM_TOL, "SymmetricDensityMatrix: matrix is not Hermitian within 1e-12")
+        _check_hermitian(mat, HERM_TOL, f"SymmetricDensityMatrix: matrix is not Hermitian within {HERM_TOL}")
         traces = np.trace(mat, axis1=-2, axis2=-1)
         bad = traces[np.abs(traces - 1.0) > NORM_TOL]
         if bad.size:
             raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
         if np.linalg.eigvalsh((mat + mat.conj().swapaxes(-1, -2)) / 2).min() < -PSD_TOL:
-            raise ValueError("SymmetricDensityMatrix: negative eigenvalue beyond 1e-10")
+            raise ValueError(f"SymmetricDensityMatrix: negative eigenvalue beyond {PSD_TOL}")
 
     @property
     def dim(self) -> int:
@@ -202,7 +202,7 @@ class BipartiteOperator:
             raise ValueError(
                 f"BipartiteOperator: expected {dim}x{dim} for {self.bipartition}, got {mat.shape}"
             )
-        _check_hermitian(mat, HERM_TOL, "BipartiteOperator: matrix is not Hermitian within 1e-12")
+        _check_hermitian(mat, HERM_TOL, f"BipartiteOperator: matrix is not Hermitian within {HERM_TOL}")
 
     @property
     def dim(self) -> int:

@@ -101,8 +101,7 @@ def builtin_witness(name: str) -> Witness:
     """One of the published witnesses W5, W7, W9."""
     if name not in _BUILTIN_COEFFS:
         raise ValueError(f"builtin_witness: unknown witness {name!r}, expected one of W5, W7, W9")
-    diag, corner = _BUILTIN_COEFFS[name]
-    return Witness(name, tuple(float(x) for x in diag), float(corner))
+    return Witness(name, *_BUILTIN_COEFFS[name])
 
 
 def ghz_witness_mixture(n: int, p) -> SymmetricDensityMatrix:
@@ -226,8 +225,9 @@ def detection_threshold(w: Witness, n: int) -> float:
 
     Tr(rho(p) W) is affine in p, so the zero crossing has the closed form
     p* = g / (g - t) with g = <GHZ|W|GHZ> = (w_0 + w_n)/2 + corner and
-    t = Tr(W)/(n+1).  When p* exceeds the SAPPT threshold, the interval
-    [p_min, p*] is a certified family of entangled SAPPT states.
+    t = Tr(W)/(n+1).  For a valid witness (>= 0 on product states, so t >= 0) with
+    g < 0, p* lies in (0, 1] and rho(p) is detected exactly for p < p*; if p* also
+    exceeds the SAPPT threshold, [p_min, p*] is a certified family of entangled SAPPT states.
     """
     if w.dim != n + 1:
         raise ValueError(f"detection_threshold: witness dim {w.dim} does not match n={n}")
@@ -246,22 +246,29 @@ def witness_to_json(w: Witness) -> str:
 
 
 def witness_from_json(text: str) -> Witness:
-    """Parse {"name", "dim", "diagonal", "corner"}; malformed input raises ValueError."""
+    """Parse {"name", "dim", "diagonal", "corner"}: the diagonal an array of JSON numbers, the
+    corner a JSON number, dim a JSON integer.  Malformed input raises ValueError."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"witness_from_json: expected a JSON object, got {type(data).__name__}")
     missing = [key for key in ("diagonal", "corner") if key not in data]
     if missing:
         raise ValueError(f"witness_from_json: missing key(s) {', '.join(missing)}")
-    try:
-        diag = tuple(float(x) for x in data["diagonal"])
-        corner = float(data["corner"])
-        dim = int(data.get("dim", len(diag)))
-    except TypeError as exc:
-        raise ValueError(f"witness_from_json: {exc}") from None
+    diag, corner = data["diagonal"], data["corner"]
+    if not isinstance(diag, list):
+        raise ValueError(f"witness_from_json: diagonal must be a JSON array, got {json.dumps(diag)}")
+    bad = [x for x in diag + [corner] if type(x) not in (int, float)]  # bool, str and None fail
+    if bad:
+        raise ValueError(f"witness_from_json: coefficients must be JSON numbers, got {json.dumps(bad[0])}")
+    dim = data.get("dim", len(diag))
+    if type(dim) is not int:
+        raise ValueError(f"witness_from_json: dim must be a JSON integer, got {json.dumps(dim)}")
     if dim != len(diag):
         raise ValueError(f"witness_from_json: declared dim {dim} != diagonal length {len(diag)}")
-    return Witness(str(data.get("name", "custom")), diag, corner)
+    try:
+        return Witness(str(data.get("name", "custom")), diag, corner)
+    except OverflowError as exc:  # an integer past double range
+        raise ValueError(f"witness_from_json: {exc}") from None
 
 
 def load_witness_file(path) -> Witness:

@@ -33,6 +33,7 @@ from symppt import (
 from symppt.cli import main
 
 from oracles import scan_rows_per_p, tilted_eigh
+from test_tracing_bindings import load_bindings
 
 
 def run(capsys, argv):
@@ -52,6 +53,29 @@ def test_cli_imports_no_private_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# perfbench/tracing.py wraps these module attributes; the module itself never calls them.
+TRACER_ONLY_IMPORTS = {("ptrans", "dicke_decomposition"), ("ptrans", "dicke_labels")}
+
+
+def test_modules_use_every_imported_name():
+    """A library module imports only what it uses, apart from the tracer's bindings."""
+    unused = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused == TRACER_ONLY_IMPORTS
+    assert TRACER_ONLY_IMPORTS <= {(module, name) for module, name, _ in load_bindings()}
 
 
 class TestTable1:
@@ -639,6 +663,66 @@ class TestWitnessCommand:
         assert err == "symppt: error: a witness name (W5/W7/W9) or --witness-file is required\n"
 
 
+# The report for a witness file: a negative product-state minimum (invalid) and a
+# positive definite W (detects nothing) each print p* > p_min but certify nothing.
+INVALID_REPORT = """\
+witness: invalid
+dim: 6
+n: 5
+p_min: 30/31 (0.967741935484)
+detection_threshold: 1.03448275862
+product_min: -1 at theta=4.96730805043e-09, phi=0
+"""
+FLAT_REPORT = """\
+witness: flat
+dim: 6
+n: 5
+p_min: 30/31 (0.967741935484)
+detection_threshold: 3
+product_min: 0.96875 at theta=1.57079632679, phi=0.628318530718
+"""
+
+
+class TestWitnessCertification:
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {}
+        for name, diagonal, corner in [("invalid", [-1, 0, 0, 0, 0, -1], -9), ("flat", [1] * 6, 0.5)]:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps({"name": name, "diagonal": diagonal, "corner": corner}))
+        return paths
+
+    def test_invalid_witness_exits_2_without_interval(self, capsys, files):
+        violation = "witness invalid: product-state minimum -1 < 0, not a valid witness\n"
+        code, out, err = run(capsys, ["witness", "--witness-file", str(files["invalid"])])
+        assert (code, out, err) == (2, INVALID_REPORT, violation)
+        code, out, err = run(capsys, ["witness", "--witness-file", str(files["invalid"]), "--format", "json"])
+        assert (code, err) == (2, violation)
+        data = json.loads(out)
+        assert data["certified_interval"] is None
+        assert data["detection_threshold"] == pytest.approx(30 / 29)
+        code, out, err = run(capsys, ["witness", "--witness-file", str(files["invalid"]), "--validate"])
+        assert (code, out, err) == (2, "min=-1 theta=4.96730805043e-09 phi=0\n", violation)
+
+    def test_witness_that_detects_nothing_certifies_nothing(self, capsys, files):
+        code, out, err = run(capsys, ["witness", "--witness-file", str(files["flat"])])
+        assert (code, out, err) == (0, FLAT_REPORT, "")
+        code, out, _ = run(capsys, ["witness", "--witness-file", str(files["flat"]), "--format", "json"])
+        assert (code, json.loads(out)["certified_interval"]) == (0, None)
+
+    def test_threshold_alone_claims_nothing(self, capsys, files):
+        code, out, err = run(capsys, ["witness", "--witness-file", str(files["invalid"]), "--threshold"])
+        assert (code, out, err) == (0, "1.03448275862\n", "")
+
+    @pytest.mark.parametrize("name", ["W5", "W7", "W9"])
+    def test_builtin_witnesses_certify(self, capsys, name):
+        code, out, err = run(capsys, ["witness", name, "--format", "json"])
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["product_min"] > 0
+        assert data["certified_interval"] == [data["p_min_float"], data["detection_threshold"]]
+
+
 BAD_WITNESS_FILES = {
     "missing-corner": '{"diagonal": [1, 0, 1]}',
     "missing-diagonal": '{"corner": -1}',
@@ -646,6 +730,20 @@ BAD_WITNESS_FILES = {
     "corner-inf": '{"diagonal": [1, 0, 1], "corner": "inf"}',
     "corner-nan": '{"diagonal": [1, 0, 1], "corner": "nan"}',
     "diagonal-infinity": '{"diagonal": [Infinity, 0, Infinity], "corner": -1}',
+    "diagonal-string": '{"name": "x", "diagonal": "10001", "corner": true}',
+    "diagonal-number": '{"diagonal": 1, "corner": -1}',
+    "diagonal-object": '{"diagonal": {"0": 1, "1": 1}, "corner": -1}',
+    "diagonal-string-entry": '{"diagonal": ["1", 0, "1"], "corner": -1}',
+    "diagonal-bool-entry": '{"diagonal": [true, false, true], "corner": -1}',
+    "diagonal-null-entry": '{"diagonal": [1, null, 1], "corner": -1}',
+    "corner-string": '{"diagonal": [1, 0, 1], "corner": "-1"}',
+    "corner-bool": '{"diagonal": [1, 0, 1], "corner": true}',
+    "corner-null": '{"diagonal": [1, 0, 1], "corner": null}',
+    "corner-past-double": '{"diagonal": [1, 0, 1], "corner": -1%s}' % ("0" * 400),
+    "dim-float": '{"dim": 3.0, "diagonal": [1, 0, 1], "corner": -1}',
+    "dim-string": '{"dim": "3", "diagonal": [1, 0, 1], "corner": -1}',
+    "dim-bool": '{"dim": true, "diagonal": [1, 0, 1], "corner": -1}',
+    "dim-null": '{"dim": null, "diagonal": [1, 0, 1], "corner": -1}',
     "missing-file": None,
     "directory": "",
 }

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -88,23 +88,34 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _jfloat(x: float) -> float:
-    return float(_fmt(x))
+def _csv(x) -> str:
+    return _fmt(x) if isinstance(x, float) else str(x).lower() if isinstance(x, bool) else str(x)
 
 
-def _cell(x, fmt: str):
-    """A typed cell, or a list or dict of them, as CSV text or a JSON value."""
+def _enclose(items: list, brackets: str, indent: str) -> str:
+    """JSON members, each led by its line break, in brackets closed on a line led by `indent`."""
+    return brackets[0] + ",".join(items) + indent + brackets[1] if items else brackets
+
+
+def _json(x, indent: str) -> str:
+    """A typed cell, or a dict, list or tuple of them, as json.dumps(..., indent=2) writes it on a
+    line led by `indent`: floats to 12 significant digits, rationals as strings, ASCII only."""
     if isinstance(x, float):
-        return _jfloat(x) if fmt == "json" else _fmt(x)
-    if isinstance(x, bool) and fmt == "csv":
-        return str(x).lower()
-    if isinstance(x, Fraction) or fmt == "csv":
-        return str(x)
+        text = repr(float(_fmt(x)))
+        return text if text[-1].isdigit() else {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text]
+    if isinstance(x, bool) or x is None:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, (str, Fraction)):
+        return encode_basestring_ascii(str(x))
+    inner = indent + "  "
     if isinstance(x, dict):
-        return {key: _cell(value, fmt) for key, value in x.items()}
-    if isinstance(x, list):
-        return [_cell(value, fmt) for value in x]
-    return x
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in x.items()]
+        return _enclose(items, "{}", indent)
+    if isinstance(x, (list, tuple)):
+        return _enclose([inner + _json(v, inner) for v in x], "[]", indent)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _limit(what: str, value: float, tol: float) -> str:
@@ -115,14 +126,18 @@ def _render(table: Table, fmt: str) -> str:
     if fmt == "text":
         return table.text
     if fmt == "csv":
-        lines = [table.csv_columns or table.columns]
-        lines += [[_cell(x, fmt) for x in row] for row in table.rows]
-        return "\n".join(",".join(line) for line in lines) + "\n"
-    doc = dict(table.header)
+        lines = [",".join(table.csv_columns or table.columns)]
+        lines += [",".join(map(_csv, row)) for row in table.rows]
+        return "\n".join(lines) + "\n"
+    # {**header, key: rows, **trailer} with each value rendered; the rows fill one %-template.
+    doc = {key: _json(value, "\n  ") for key, value in table.header.items()}
     if table.key:
-        doc[table.key] = [dict(zip(table.columns, row)) for row in table.rows]
-    doc.update(table.trailer)
-    return json.dumps(_cell(doc, fmt), indent=2) + "\n"
+        keys = [f"\n      {encode_basestring_ascii(c).replace('%', '%%')}: %s" for c in table.columns]
+        template = _enclose(keys, "{}", "\n    ")
+        rows = ["\n    " + template % tuple([_json(x, "\n      ") for x in row]) for row in table.rows]
+        doc[table.key] = _enclose(rows, "[]", "\n  ")
+    doc.update((key, _json(value, "\n  ")) for key, value in table.trailer.items())
+    return _enclose([f"\n  {encode_basestring_ascii(k)}: {v}" for k, v in doc.items()], "{}", "\n") + "\n"
 
 
 def _resolve_witness(args):
@@ -225,15 +240,17 @@ def cmd_scan(args) -> Table:
     pt_ghz = partial_transpose_a(embed_bipartite(ghz_witness_mixture(n, 0.0), bip)).matrix
 
     # Each chunk of p values takes the per-p route as one stack: every check sees every matrix.
+    # States and transposed operators are chunked apart, each by its own dimension.
     ps = np.linspace(args.p_from, args.p_to, args.steps)
-    step = _scan_chunk(bip.dim)
-    rows = []
+    trs, lams = [], []
+    step = _scan_chunk(w.dim)
     for chunk in (ps[i:i + step] for i in range(0, len(ps), step)):
-        rho = ghz_witness_mixture(n, chunk)
+        trs += expectation_value(ghz_witness_mixture(n, chunk), w).tolist()
+    step = _scan_chunk(bip.dim)
+    for chunk in (ps[i:i + step] for i in range(0, len(ps), step)):
         p = chunk[:, None, None]
-        pt = BipartiteOperator(bip, p * pt_uniform + (1 - p) * pt_ghz)
-        values = zip(chunk.tolist(), expectation_value(rho, w).tolist(), min_eigenvalue(pt).tolist())
-        rows += [(p, tr, lam, p >= p_min - 1e-12, tr < 0) for p, tr, lam in values]
+        lams += min_eigenvalue(BipartiteOperator(bip, p * pt_uniform + (1 - p) * pt_ghz)).tolist()
+    rows = [(p, tr, lam, p >= p_min - 1e-12, tr < 0) for p, tr, lam in zip(ps.tolist(), trs, lams)]
     columns = ("p", "witness_expectation", "lambda_min", "sapt", "witness_detects")
     return Table({"n": n, "k": bip.k, "witness": w.name}, "rows", columns, rows)
 

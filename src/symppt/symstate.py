@@ -136,7 +136,7 @@ class PureSymmetricState:
                 f"got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a nan norm fails too
             raise ValueError(f"PureSymmetricState: norm {norm} deviates from 1 beyond {NORM_TOL}")
 
     @property
@@ -387,6 +387,24 @@ def state_to_json(psi: PureSymmetricState) -> str:
 
 
 def state_from_json(text: str) -> PureSymmetricState:
+    """Parse {"n", "d", "amplitudes"}: n and d JSON integers, each amplitude a [re, im] pair of
+    JSON numbers.  Malformed input raises ValueError."""
     data = json.loads(text)
-    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    return PureSymmetricState(int(data["n"]), int(data["d"]), amps)
+    if not isinstance(data, dict):
+        raise ValueError(f"state_from_json: expected a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("n", "d", "amplitudes") if key not in data]
+    if missing:
+        raise ValueError(f"state_from_json: missing key(s) {', '.join(missing)}")
+    for key in ("n", "d"):
+        if type(data[key]) is not int:  # bool, float, str and None fail
+            raise ValueError(f"state_from_json: {key} must be a JSON integer, got {json.dumps(data[key])}")
+    amps = data["amplitudes"]
+    if type(amps) is not list:
+        raise ValueError(f"state_from_json: amplitudes must be a JSON array, got {json.dumps(amps)}")
+    bad = [z for z in amps if not (type(z) is list and len(z) == 2 and {*map(type, z)} <= {int, float})]
+    if bad:  # bool, str and None fail
+        raise ValueError(f"state_from_json: amplitudes must be [re, im] pairs, got {json.dumps(bad[0])}")
+    try:
+        return PureSymmetricState(data["n"], data["d"], [complex(re, im) for re, im in amps])
+    except OverflowError as exc:  # an integer past double range
+        raise ValueError(f"state_from_json: {exc}") from None

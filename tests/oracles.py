@@ -4,11 +4,14 @@ Everything here deliberately avoids the closed forms under test: binomials
 come from the Pascal recurrence, bipartite Dicke coefficients from literal
 enumeration of computational-basis strings, the partial transpose from
 an explicit four-index shuffle, and the alternate Vandermonde convolution
-from generalized binomials.
+from generalized binomials.  The CLI's tables are checked against the
+renderer it had before its direct emitter: typed cells converted to JSON
+values, then ``json.dumps(indent=2)``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -304,3 +307,38 @@ def spectrum_entries_by_index(values) -> tuple:
             entries.append((float(group.mean()), len(group)))
             start = i
     return tuple(entries)
+
+
+def _reference_cell(x, fmt: str):
+    """A typed cell, or a list, tuple or dict of them, as CSV text or a JSON value."""
+    if isinstance(x, float):
+        text = f"{float(x):.12g}"
+        return float(text) if fmt == "json" else text
+    if isinstance(x, bool) and fmt == "csv":
+        return str(x).lower()
+    if isinstance(x, Fraction) or fmt == "csv":
+        return str(x)
+    if isinstance(x, dict):
+        return {key: _reference_cell(value, fmt) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_reference_cell(value, fmt) for value in x]
+    return x
+
+
+def render_reference(table, fmt: str) -> str:
+    """A symppt.cli.Table as text: the document {**header, key: rows, **trailer},
+    each row a dict of its columns, written by json.dumps(indent=2), or CSV
+    lines of the cells.  It is the CLI's renderer before its direct emitter,
+    except that tuples are rounded like lists: that renderer passed them to
+    json.dumps unrounded, and no command puts one in a header or trailer."""
+    if fmt == "text":
+        return table.text
+    if fmt == "csv":
+        lines = [table.csv_columns or table.columns]
+        lines += [[_reference_cell(x, fmt) for x in row] for row in table.rows]
+        return "\n".join(",".join(line) for line in lines) + "\n"
+    doc = dict(table.header)
+    if table.key:
+        doc[table.key] = [dict(zip(table.columns, row)) for row in table.rows]
+    doc.update(table.trailer)
+    return json.dumps(_reference_cell(doc, fmt), indent=2) + "\n"

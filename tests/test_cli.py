@@ -431,6 +431,24 @@ class TestScanChunks:
         got = scan_rows(["--witness-file", str(path), "--p-from", "0.5", "--p-to", "1", "--steps", "3"])
         assert float_bits(got) == float_bits(scan_rows_per_p(w, 17, 8, 0.5, 1.0, 3))
 
+    def test_states_and_operators_chunked_by_their_own_dimension(self, monkeypatch):
+        # W9 at k = 4: 10 x 10 states, 64 per stack; 30 x 30 operators, 7 per stack
+        assert (cli._scan_chunk(10), cli._scan_chunk(30)) == (64, 7)
+        stacks = {"states": [], "operators": []}
+        density, operator = symstate.SymmetricDensityMatrix, cli.BipartiteOperator
+
+        def record(name, make):
+            def wrapped(*args):
+                if np.ndim(args[-1]) == 3:
+                    stacks[name].append(len(args[-1]))
+                return make(*args)
+            return wrapped
+
+        monkeypatch.setattr(symstate, "SymmetricDensityMatrix", record("states", density))
+        monkeypatch.setattr(cli, "BipartiteOperator", record("operators", operator))
+        scan_rows(["--witness", "W9", "--k", "4", "--p-from", "0.99", "--p-to", "1", "--steps", "201"])
+        assert stacks == {"states": [64, 64, 64, 9], "operators": [7] * 28 + [5]}
+
 
 class TestScanChecks:
     """The chunked scan keeps every per-step check: a matrix that fails one

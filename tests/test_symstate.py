@@ -411,3 +411,54 @@ class TestJson:
         again = state_from_json(state_to_json(psi))
         assert (again.n, again.d) == (3, 3)
         assert np.allclose(again.amplitudes, psi.amplitudes)
+
+    def test_integer_amplitudes_load(self):
+        again = state_from_json('{"n": 2, "d": 2, "amplitudes": [[0, 0], [1, 0], [0, 0]]}')
+        assert (again.n, again.d) == (2, 2)
+        assert again.amplitudes.tolist() == [0, 1, 0]
+
+
+AMPS = '[[1, 0], [0, 0], [0, 0]]'
+BAD_STATE_JSON = {
+    "invalid_json": ("{", r"Expecting property name"),
+    "array": ("[2, 2]", r"expected a JSON object, got list"),
+    "missing_d": (f'{{"n": 2, "amplitudes": {AMPS}}}', r"missing key\(s\) d$"),
+    "missing_all": ("{}", r"missing key\(s\) n, d, amplitudes$"),
+    "float_n": (f'{{"n": 2.9, "d": 2, "amplitudes": {AMPS}}}', r"n must be a JSON integer, got 2.9$"),
+    "integral_float_n": (f'{{"n": 2.0, "d": 2, "amplitudes": {AMPS}}}', r"n must be a JSON integer, got 2.0$"),
+    "bool_n": (f'{{"n": true, "d": 2, "amplitudes": {AMPS}}}', r"n must be a JSON integer, got true$"),
+    "string_d": (f'{{"n": 2, "d": "2", "amplitudes": {AMPS}}}', r'd must be a JSON integer, got "2"$'),
+    "null_d": (f'{{"n": 2, "d": null, "amplitudes": {AMPS}}}', r"d must be a JSON integer, got null$"),
+    "reported": (
+        '{"n": 2.9, "d": "2", "amplitudes": [[true, 0], [0, 0], [0, false]]}',
+        r"n must be a JSON integer, got 2.9$",
+    ),
+    "string_amplitudes": ('{"n": 2, "d": 2, "amplitudes": "100"}', r'amplitudes must be a JSON array, got "100"$'),
+    "number_amplitudes": ('{"n": 2, "d": 2, "amplitudes": 1}', r"amplitudes must be a JSON array, got 1$"),
+    "bool_part": ('{"n": 2, "d": 2, "amplitudes": [[true, 0], [0, 0], [0, false]]}',
+                  r"pairs, got \[true, 0\]$"),
+    "string_part": ('{"n": 2, "d": 2, "amplitudes": [[1, 0], ["0", 0], [0, 0]]}',
+                    r'pairs, got \["0", 0\]$'),
+    "null_part": ('{"n": 2, "d": 2, "amplitudes": [[1, null], [0, 0], [0, 0]]}',
+                  r"pairs, got \[1, null\]$"),
+    "single": ('{"n": 2, "d": 2, "amplitudes": [[1], [0, 0], [0, 0]]}', r"pairs, got \[1\]$"),
+    "triple": ('{"n": 2, "d": 2, "amplitudes": [[1, 0, 0], [0, 0], [0, 0]]}',
+               r"pairs, got \[1, 0, 0\]$"),
+    "bare_number": ('{"n": 2, "d": 2, "amplitudes": [1, [0, 0], [0, 0]]}', r"pairs, got 1$"),
+    "object_part": ('{"n": 2, "d": 2, "amplitudes": [{"re": 1, "im": 0}, [0, 0], [0, 0]]}',
+                    r'pairs, got \{"re": 1, "im": 0\}$'),
+    "past_double_range": (f'{{"n": 2, "d": 2, "amplitudes": [[1{"0" * 400}, 0], [0, 0], [0, 0]]}}',
+                          r"state_from_json: int too large to convert to float$"),
+    "nan_part": ('{"n": 2, "d": 2, "amplitudes": [[NaN, 0], [0, 0], [0, 0]]}', r"norm nan deviates from 1"),
+    "infinite_part": ('{"n": 2, "d": 2, "amplitudes": [[Infinity, 0], [0, 0], [0, 0]]}',
+                      r"norm inf deviates from 1"),
+    "wrong_count": ('{"n": 2, "d": 2, "amplitudes": [[1, 0]]}', r"expected 3 amplitudes"),
+    "negative_n": ('{"n": -1, "d": 2, "amplitudes": [[1, 0]]}', r"symmetric_dimension: invalid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STATE_JSON))
+def test_malformed_state_json_raises_value_error(case):
+    text, message = BAD_STATE_JSON[case]
+    with pytest.raises(ValueError, match=message):
+        state_from_json(text)

@@ -220,8 +220,7 @@ def _factor_ladders(n: int):
     raise_m = np.zeros((n + 1, n + 1))
     for a in range(n):
         raise_m[a + 1, a] = math.sqrt((n - a) * (a + 1))
-    weight = np.diag([n / 2 - a for a in range(n + 1)])
-    return raise_m, raise_m.T, weight
+    return raise_m, np.diag([n / 2 - a for a in range(n + 1)])
 
 
 def ladder_operators(bip: Bipartition) -> LadderOperators:
@@ -229,15 +228,13 @@ def ladder_operators(bip: Bipartition) -> LadderOperators:
     if bip.d != 2:
         raise ValueError("ladder_operators: defined for qubits only")
     k, nb = bip.k, bip.n - bip.k
-    raise_a, lower_a, weight_a = _factor_ladders(k)
-    raise_b, lower_b, weight_b = _factor_ladders(nb)
+    raise_a, weight_a = _factor_ladders(k)
+    raise_b, weight_b = _factor_ladders(nb)
     eye_a, eye_b = np.eye(k + 1), np.eye(nb + 1)
-    return LadderOperators(
-        bipartition=bip,
-        raise_op=np.kron(lower_a, eye_b) - np.kron(eye_a, raise_b),
-        lower_op=np.kron(raise_a, eye_b) - np.kron(eye_a, lower_b),
-        weight=np.kron(weight_a, eye_b) - np.kron(eye_a, weight_b),
-    )
+    raise_op = np.kron(raise_a.T, eye_b) - np.kron(eye_a, raise_b)
+    weight = np.kron(weight_a, eye_b) - np.kron(eye_a, weight_b)
+    # The lowering operator is the transpose, bitwise: transposing each kron term is exact.
+    return LadderOperators(bip, raise_op, raise_op.T.copy(), weight)
 
 
 def maxmixed_pt_eigenbasis(bip: Bipartition) -> list:

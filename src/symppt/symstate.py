@@ -13,9 +13,11 @@ each pair's sector label by a sorted lookup of integer label keys.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,10 +50,36 @@ PSD_TOL = 1e-10
 
 def _check_hermitian(mats: np.ndarray, tol: float, message: str) -> None:
     """Raise ValueError(message) unless each matrix of mats, one or a stack, is Hermitian within
-    tol.  |diff| is taken in place for real input; for complex, a new array beats a cast."""
+    tol; nan and inf fail.  |diff| is taken in place for real input, in a new array for complex."""
     diff = mats - mats.conj().swapaxes(-1, -2)
-    if np.any(np.abs(diff, out=None if np.iscomplexobj(diff) else diff).max(axis=(-2, -1)) > tol):
+    if not (np.abs(diff, out=None if np.iscomplexobj(diff) else diff).max(axis=(-2, -1)) <= tol).all():
         raise ValueError(message)
+
+
+def _store_matrices(obj, mat: np.ndarray, dim: int, space) -> None:
+    """Set obj.matrix to mat, one (dim, dim) matrix or a (count, dim, dim) stack, each Hermitian
+    within HERM_TOL.  The messages name obj's class and the space."""
+    object.__setattr__(obj, "matrix", mat)
+    who = type(obj).__name__
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
+        raise ValueError(f"{who}: expected {dim}x{dim} for {space}, got {mat.shape}")
+    _check_hermitian(mat, HERM_TOL, f"{who}: matrix is not Hermitian within {HERM_TOL}")
+
+
+def _json_object(text: str, who: str, keys: dict) -> dict:
+    """The JSON object text holds.  ValueError unless it is one, has every key of keys, and the
+    value of each key is of its type in keys: int (a bool fails), list, or None for any."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"{who}: expected a JSON object, got {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{who}: missing key(s) {', '.join(missing)}")
+    for key, kind in keys.items():
+        if kind and type(data[key]) is not kind:
+            what = "integer" if kind is int else "array"
+            raise ValueError(f"{who}: {key} must be a JSON {what}, got {json.dumps(data[key])}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -89,7 +117,6 @@ class Bipartition:
         return self.dim_a * self.dim_b
 
 
-@functools.lru_cache(maxsize=None)
 def dicke_labels(n: int, d: int) -> tuple:
     """Canonical ordering of the symmetric-sector basis labels.
 
@@ -98,24 +125,15 @@ def dicke_labels(n: int, d: int) -> tuple:
     decreasing lexicographic order, which reduces to the qubit order when
     d = 2.
     """
-    if d == 2:
-        return tuple(range(n + 1))
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    return tuple(compositions(n, d))
+    return tuple(range(n + 1)) if d == 2 else _occupations(n, d)
 
 
+@functools.lru_cache(maxsize=None)
 def _occupations(n: int, d: int) -> tuple:
-    """dicke_labels(n, d) as occupation tuples: a qubit count alpha is (n - alpha, alpha)."""
-    labels = dicke_labels(n, d)
-    return tuple((n - alpha, alpha) for alpha in labels) if d == 2 else labels
+    """The occupation tuples of dicke_labels(n, d), for qubits (n - alpha, alpha): the gaps
+    between d - 1 bars among n + d - 1 slots, bar sets in reverse lexicographic order."""
+    bars = reversed(list(itertools.combinations(range(n + d - 1), d - 1)))
+    return tuple(tuple(hi - lo - 1 for lo, hi in zip((-1, *b), (*b, n + d - 1))) for b in bars)
 
 
 @dataclass(frozen=True)
@@ -129,6 +147,12 @@ class PureSymmetricState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
+        limit, dim, top = sys.get_int_max_str_digits(), 1, self.n + self.d - 1
+        for i in range(1, min(self.n, self.d - 1) + 1 if limit and type(top) is int else 1):
+            dim = dim * (top + 1 - i) // i  # C(top, i), rising to the sector dimension
+            if dim.bit_length() > 3.32 * limit and dim >= 10**limit:  # longer than any array
+                raise ValueError(f"PureSymmetricState: dimension for (n={self.n}, d={self.d}) has more "
+                                 f"than {limit} digits, got shape {amps.shape}")
         dim = symmetric_dimension(self.n, self.d)
         if amps.shape != (dim,):
             raise ValueError(
@@ -160,19 +184,12 @@ class SymmetricDensityMatrix:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        dim = symmetric_dimension(self.n, self.d)
-        if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
-            raise ValueError(
-                f"SymmetricDensityMatrix: expected {dim}x{dim} for (n={self.n}, d={self.d}), "
-                f"got {mat.shape}"
-            )
-        _check_hermitian(mat, HERM_TOL, f"SymmetricDensityMatrix: matrix is not Hermitian within {HERM_TOL}")
+        _store_matrices(self, mat, symmetric_dimension(self.n, self.d), f"(n={self.n}, d={self.d})")
         traces = np.trace(mat, axis1=-2, axis2=-1)
-        bad = traces[np.abs(traces - 1.0) > NORM_TOL]
+        bad = traces[~(np.abs(traces - 1.0) <= NORM_TOL)]
         if bad.size:
             raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
-        if np.linalg.eigvalsh((mat + mat.conj().swapaxes(-1, -2)) / 2).min() < -PSD_TOL:
+        if not np.linalg.eigvalsh((mat + mat.conj().swapaxes(-1, -2)) / 2).min() >= -PSD_TOL:
             raise ValueError(f"SymmetricDensityMatrix: negative eigenvalue beyond {PSD_TOL}")
 
     @property
@@ -196,13 +213,7 @@ class BipartiteOperator:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
-        object.__setattr__(self, "matrix", mat)
-        dim = self.bipartition.dim
-        if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
-            raise ValueError(
-                f"BipartiteOperator: expected {dim}x{dim} for {self.bipartition}, got {mat.shape}"
-            )
-        _check_hermitian(mat, HERM_TOL, f"BipartiteOperator: matrix is not Hermitian within {HERM_TOL}")
+        _store_matrices(self, mat, self.bipartition.dim, self.bipartition)
 
     @property
     def dim(self) -> int:
@@ -389,18 +400,8 @@ def state_to_json(psi: PureSymmetricState) -> str:
 def state_from_json(text: str) -> PureSymmetricState:
     """Parse {"n", "d", "amplitudes"}: n and d JSON integers, each amplitude a [re, im] pair of
     JSON numbers.  Malformed input raises ValueError."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"state_from_json: expected a JSON object, got {type(data).__name__}")
-    missing = [key for key in ("n", "d", "amplitudes") if key not in data]
-    if missing:
-        raise ValueError(f"state_from_json: missing key(s) {', '.join(missing)}")
-    for key in ("n", "d"):
-        if type(data[key]) is not int:  # bool, float, str and None fail
-            raise ValueError(f"state_from_json: {key} must be a JSON integer, got {json.dumps(data[key])}")
+    data = _json_object(text, "state_from_json", {"n": int, "d": int, "amplitudes": list})
     amps = data["amplitudes"]
-    if type(amps) is not list:
-        raise ValueError(f"state_from_json: amplitudes must be a JSON array, got {json.dumps(amps)}")
     bad = [z for z in amps if not (type(z) is list and len(z) == 2 and {*map(type, z)} <= {int, float})]
     if bad:  # bool, str and None fail
         raise ValueError(f"state_from_json: amplitudes must be [re, im] pairs, got {json.dumps(bad[0])}")

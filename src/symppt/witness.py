@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symstate import SymmetricDensityMatrix, ghz_state, mix_with_identity
+from .symstate import SymmetricDensityMatrix, _json_object, ghz_state, mix_with_identity
 
 __all__ = [
     "Witness",
@@ -248,15 +248,8 @@ def witness_to_json(w: Witness) -> str:
 def witness_from_json(text: str) -> Witness:
     """Parse {"name", "dim", "diagonal", "corner"}: the diagonal an array of JSON numbers, the
     corner a JSON number, dim a JSON integer.  Malformed input raises ValueError."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"witness_from_json: expected a JSON object, got {type(data).__name__}")
-    missing = [key for key in ("diagonal", "corner") if key not in data]
-    if missing:
-        raise ValueError(f"witness_from_json: missing key(s) {', '.join(missing)}")
+    data = _json_object(text, "witness_from_json", {"diagonal": list, "corner": None})
     diag, corner = data["diagonal"], data["corner"]
-    if not isinstance(diag, list):
-        raise ValueError(f"witness_from_json: diagonal must be a JSON array, got {json.dumps(diag)}")
     bad = [x for x in diag + [corner] if type(x) not in (int, float)]  # bool, str and None fail
     if bad:
         raise ValueError(f"witness_from_json: coefficients must be JSON numbers, got {json.dumps(bad[0])}")

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the closed forms under test: binomials
 come from the Pascal recurrence, bipartite Dicke coefficients from literal
 enumeration of computational-basis strings, the partial transpose from
-an explicit four-index shuffle, and the alternate Vandermonde convolution
-from generalized binomials.  The CLI's tables are checked against the
+an explicit four-index shuffle, the alternate Vandermonde convolution
+from generalized binomials, and the qudit labels from a recursion on the
+first occupation.  The CLI's tables are checked against the
 renderer it had before its direct emitter: typed cells converted to JSON
 values, then ``json.dumps(indent=2)``.
 """
@@ -109,6 +110,27 @@ def brute_split_overlaps(n: int, d: int, k: int, occupation) -> dict:
         size_b = len(multiset_strings(occ_b))
         out[(occ_a, occ_b)] = Fraction(cnt * cnt, total * size_a * size_b)
     return out
+
+
+def compositions(total: int, parts: int):
+    """Occupation tuples of `parts` levels summing to total, in decreasing lexicographic order:
+    the largest first occupation first, then the rest recursively."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def ladder_lower_reference(bip) -> np.ndarray:
+    """The qubit lowering operator raise(A) x 1 - 1 x lower(B), from its own kron terms; the
+    one-particle raise matrix has sqrt((m - a)(a + 1)) at row a + 1, column a."""
+    def raise_matrix(m):
+        return np.diag([math.sqrt((m - a) * (a + 1)) for a in range(m)], -1)
+
+    k, nb = bip.k, bip.n - bip.k
+    return np.kron(raise_matrix(k), np.eye(nb + 1)) - np.kron(np.eye(k + 1), raise_matrix(nb).T)
 
 
 def qubit_occupation(n: int, alpha: int):

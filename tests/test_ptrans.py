@@ -34,6 +34,7 @@ from symppt import (
 from symppt.ptrans import DIM_CAP, _weight_stacks
 
 from oracles import (
+    ladder_lower_reference,
     min_eig_per_block,
     pt_shuffle,
     random_pure,
@@ -135,6 +136,23 @@ class TestMinEigenvalue:
         op.matrix[0, 1] += 1e-10
         with pytest.raises(ValueError) as info:
             min_eigenvalue(op)
+        assert str(info.value) == "min_eigenvalue: operator is not Hermitian within 1e-10"
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["all", "diagonal", "pair"])
+    def test_nonfinite_entries_refused(self, value, where):
+        """numpy's eigh either fails to converge on these (LinAlgError) or returns nan."""
+        op = maxmixed_pt(Bipartition(5, 2))
+        if where == "all":
+            op.matrix[...] = value
+        elif where == "diagonal":
+            op.matrix[0, 0] = value
+        else:
+            op.matrix[0, 1] = op.matrix[1, 0] = value
+        with pytest.raises(ValueError) as info:
+            min_eigenvalue(op)
+        assert type(info.value) is ValueError
         assert str(info.value) == "min_eigenvalue: operator is not Hermitian within 1e-10"
 
 
@@ -378,6 +396,16 @@ class TestLadderOperators:
     def test_adjoint_pairing(self):
         ops = ladder_operators(Bipartition(7, 3))
         assert np.array_equal(ops.raise_op.T, ops.lower_op)
+
+    def test_lowering_is_the_transpose_bitwise(self):
+        for n in range(2, 25):
+            for k in range(1, n // 2 + 1):
+                bip = Bipartition(n, k)
+                ops = ladder_operators(bip)
+                lower = ops.lower_op
+                assert lower.tobytes() == np.ascontiguousarray(ops.raise_op.T).tobytes(), (n, k)
+                assert lower.tobytes() == ladder_lower_reference(bip).tobytes(), (n, k)
+                assert not np.shares_memory(lower, ops.raise_op)
 
     def test_commutation_relations(self):
         for n in range(2, 13):

@@ -1,6 +1,10 @@
 """Symmetric-state construction and bipartite embedding."""
 
+import json
 import math
+import sys
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +31,10 @@ from symppt import (
     state_to_json,
     symmetric_dimension,
 )
-from symppt.symstate import split_coefficients
+from symppt import symstate
+from symppt.symstate import _occupations, split_coefficients
 
-from oracles import brute_split_overlaps, qubit_occupation, random_density, random_pure
+from oracles import brute_split_overlaps, compositions, qubit_occupation, random_density, random_pure
 
 
 class TestBipartition:
@@ -59,6 +64,18 @@ class TestLabels:
     def test_label_count_matches_dimension(self):
         for n, d in [(5, 2), (4, 3), (3, 4), (2, 6)]:
             assert len(dicke_labels(n, d)) == symmetric_dimension(n, d)
+
+    def test_occupations_equal_the_recursive_enumeration(self):
+        for n in range(13):
+            for d in range(2, 7):
+                assert _occupations(n, d) == tuple(compositions(n, d)), (n, d)
+
+    def test_labels_are_the_occupations_for_qudits_and_counts_for_qubits(self):
+        for n in range(13):
+            assert dicke_labels(n, 2) == tuple(range(n + 1))
+            assert _occupations(n, 2) == tuple((n - alpha, alpha) for alpha in range(n + 1))
+            for d in range(3, 7):
+                assert dicke_labels(n, d) is _occupations(n, d)
 
 
 class TestDickeDecomposition:
@@ -292,6 +309,104 @@ class TestValidation:
             SymmetricDensityMatrix(2, 2, np.diag([0.9, 0.4, -0.3]))
         with pytest.raises(ValueError):
             SymmetricDensityMatrix(2, 2, np.diag([0.5, 0.3, 0.3]))
+
+
+@contextmanager
+def int_max_str_digits(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestUnprintableDimension:
+    """A sector dimension with more digits than Python prints is refused before it is built."""
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_refused_without_building_the_dimension(self, monkeypatch, n):
+        def no_dimension(*args):
+            raise AssertionError("the sector dimension was built")
+
+        monkeypatch.setattr(symstate, "symmetric_dimension", no_dimension)
+        text = json.dumps({"n": n, "d": n, "amplitudes": []})
+        with int_max_str_digits(4300), pytest.raises(ValueError) as info:
+            start = time.perf_counter()
+            state_from_json(text)
+        assert time.perf_counter() - start < 0.5
+        assert str(info.value) == (
+            f"PureSymmetricState: dimension for (n={n}, d={n}) has more than 4300 digits, got shape (0,)"
+        )
+
+    def test_printable_dimensions_keep_their_message(self):
+        with pytest.raises(ValueError) as info:
+            PureSymmetricState(2, 2, [1])
+        assert str(info.value) == "PureSymmetricState: expected 3 amplitudes for (n=2, d=2), got shape (1,)"
+        with int_max_str_digits(4300), pytest.raises(ValueError) as info:
+            PureSymmetricState(300, 300, [[1, 0]])
+        assert str(info.value) == (
+            f"PureSymmetricState: expected {math.comb(599, 299)} amplitudes for (n=300, d=300), "
+            "got shape (1, 2)"
+        )
+
+    def test_print_limit_boundary(self):
+        with int_max_str_digits(640):
+            with pytest.raises(ValueError, match=f"^PureSymmetricState: expected {10**640 - 1} amplitudes"):
+                PureSymmetricState(10**640 - 2, 2, [1])  # dimension 10^640 - 1: 640 digits
+            with pytest.raises(ValueError) as info:
+                PureSymmetricState(10**640 - 1, 2, [1])  # dimension 10^640: 641 digits
+        assert str(info.value).endswith(", d=2) has more than 640 digits, got shape (1,)")
+
+
+def _nonfinite_cases(dtype):
+    """(id, dtype, where, value, stack) for nan and inf entries placed Hermitian-symmetrically,
+    so that no finite difference gives them away; a stack has them in its middle matrix only."""
+    values = [math.nan, math.inf, -math.inf]
+    pairs = values + ([complex(1, math.inf), complex(math.nan, 0.5)] if dtype is complex else [])
+    for where, vals in (("all", values), ("diagonal", values), ("pair", pairs)):
+        for value in vals:
+            for stack in (False, True):
+                case = f"{dtype.__name__}-{where}-{value}-{'stack' if stack else 'single'}"
+                yield pytest.param(dtype, where, value, stack, id=case)
+
+
+NONFINITE_CASES = [*_nonfinite_cases(float), *_nonfinite_cases(complex)]
+
+
+def _with_nonfinite(valid: np.ndarray, where: str, value, stack: bool) -> np.ndarray:
+    mats = np.stack([valid] * 3)
+    mat = mats[1]
+    if where == "all":
+        mat[...] = value
+    elif where == "diagonal":
+        mat[0, 0] = value
+    else:
+        mat[0, 1], mat[1, 0] = value, np.conj(value)
+    return mats if stack else mat
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteEntries:
+    """nan and inf entries fail both containers with the non-Hermitian message."""
+
+    def test_case_count(self):
+        assert len(NONFINITE_CASES) == 18 + 22
+
+    @pytest.mark.parametrize("dtype,where,value,stack", NONFINITE_CASES)
+    def test_density_matrix(self, dtype, where, value, stack):
+        mats = _with_nonfinite(np.eye(3, dtype=dtype) / 3, where, value, stack)
+        with pytest.raises(ValueError) as info:
+            SymmetricDensityMatrix(2, 2, mats)
+        assert str(info.value) == "SymmetricDensityMatrix: matrix is not Hermitian within 1e-12"
+
+    @pytest.mark.parametrize("dtype,where,value,stack", NONFINITE_CASES)
+    def test_bipartite_operator(self, dtype, where, value, stack):
+        bip = Bipartition(3, 1)
+        mats = _with_nonfinite(np.eye(bip.dim, dtype=dtype), where, value, stack)
+        with pytest.raises(ValueError) as info:
+            BipartiteOperator(bip, mats)
+        assert str(info.value) == "BipartiteOperator: matrix is not Hermitian within 1e-12"
 
 
 class TestBipartiteOperator:

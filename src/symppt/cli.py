@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combx import sappt_threshold_qubits, symmetric_dimension
+from .combx import print_limit_exceeded, sappt_threshold_qubits, symmetric_dimension
 from .ptrans import (
     DIM_CAP,
     Spectrum,
@@ -167,19 +167,6 @@ def cmd_table1(args) -> Table:
     return Table({}, "rows", columns, rows)
 
 
-def _check_printable(bip: Bipartition) -> None:
-    """Refuse an exact spectrum whose longest integer, the j = 0 denominator (n+1) C(n, k), has
-    more digits than sys.get_int_max_str_digits() (0: no limit).  Below 10^12 digits lgamma's
-    log10 of it errs by far less than one, so it is built only within one digit of the limit."""
-    limit, n, k = sys.get_int_max_str_digits(), bip.n, bip.k
-    try:
-        log10 = (math.lgamma(n + 2) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(10)
-    except OverflowError:  # n past double range
-        log10 = math.inf
-    if limit and (log10 >= limit + 1 or log10 > limit - 1 and (n + 1) * math.comb(n, k) >= 10**limit):
-        raise ValueError(f"spectrum: denominator (n+1) C(n, k) has more than {limit} digits to print")
-
-
 @functools.cache
 def _numeric_spectrum(bip: Bipartition) -> Spectrum:
     """Grouped eigenvalues of the dense transposed uniform state, once per cut per process.
@@ -196,9 +183,9 @@ def _product_min(w, grid: tuple[int, int]):
 def cmd_spectrum(args) -> Table:
     bip = Bipartition(args.n, args.k if args.k is not None else args.n // 2)
     header = {"n": bip.n, "k": bip.k}
-    if args.mode == "analytic":
-        _check_printable(bip)
-    else:
+    if args.mode == "analytic" and (limit := print_limit_exceeded((bip.n + 1, 1), (bip.n, bip.k))):
+        raise ValueError(f"spectrum: denominator (n+1) C(n, k) has more than {limit} digits to print")
+    if args.mode != "analytic":
         numeric = _numeric_spectrum(bip)
     if args.mode != "both":
         spec = maxmixed_pt_spectrum(bip) if args.mode == "analytic" else numeric

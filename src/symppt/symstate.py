@@ -17,13 +17,12 @@ import itertools
 import json
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .combx import SqrtRational, dicke_split_coefficient, multinomial, symmetric_dimension
+from .combx import SqrtRational, dicke_split_coefficient, multinomial, print_limit_exceeded, symmetric_dimension
 
 __all__ = [
     "Bipartition",
@@ -51,16 +50,26 @@ PSD_TOL = 1e-10
 def _check_hermitian(mats: np.ndarray, tol: float, message: str) -> None:
     """Raise ValueError(message) unless each matrix of mats, one or a stack, is Hermitian within
     tol; nan and inf fail.  |diff| is taken in place for real input, in a new array for complex."""
-    diff = mats - mats.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # inf - inf gives nan, which fails the test below
+        diff = mats - mats.conj().swapaxes(-1, -2)
     if not (np.abs(diff, out=None if np.iscomplexobj(diff) else diff).max(axis=(-2, -1)) <= tol).all():
         raise ValueError(message)
 
 
-def _store_matrices(obj, mat: np.ndarray, dim: int, space) -> None:
+def _dimension(obj, sectors, space, shape) -> int:
+    """Product of symmetric_dimension(n, d) over the (n, d) sectors.  ValueError, naming obj's
+    class, the space and shape, if it has more digits than Python prints: no array is that long."""
+    if limit := print_limit_exceeded(*[(n + d - 1, d - 1) for n, d in sectors]):
+        raise ValueError(f"{type(obj).__name__}: dimension for {space} has more than {limit} digits, "
+                         f"got shape {shape}")
+    return math.prod(symmetric_dimension(n, d) for n, d in sectors)
+
+
+def _store_matrices(obj, mat: np.ndarray, sectors, space) -> None:
     """Set obj.matrix to mat, one (dim, dim) matrix or a (count, dim, dim) stack, each Hermitian
-    within HERM_TOL.  The messages name obj's class and the space."""
+    within HERM_TOL, dim = _dimension(obj, sectors, ...).  The messages name obj's class and space."""
     object.__setattr__(obj, "matrix", mat)
-    who = type(obj).__name__
+    who, dim = type(obj).__name__, _dimension(obj, sectors, space, mat.shape)
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
         raise ValueError(f"{who}: expected {dim}x{dim} for {space}, got {mat.shape}")
     _check_hermitian(mat, HERM_TOL, f"{who}: matrix is not Hermitian within {HERM_TOL}")
@@ -147,13 +156,7 @@ class PureSymmetricState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        limit, dim, top = sys.get_int_max_str_digits(), 1, self.n + self.d - 1
-        for i in range(1, min(self.n, self.d - 1) + 1 if limit and type(top) is int else 1):
-            dim = dim * (top + 1 - i) // i  # C(top, i), rising to the sector dimension
-            if dim.bit_length() > 3.32 * limit and dim >= 10**limit:  # longer than any array
-                raise ValueError(f"PureSymmetricState: dimension for (n={self.n}, d={self.d}) has more "
-                                 f"than {limit} digits, got shape {amps.shape}")
-        dim = symmetric_dimension(self.n, self.d)
+        dim = _dimension(self, [(self.n, self.d)], f"(n={self.n}, d={self.d})", amps.shape)
         if amps.shape != (dim,):
             raise ValueError(
                 f"PureSymmetricState: expected {dim} amplitudes for (n={self.n}, d={self.d}), "
@@ -184,7 +187,7 @@ class SymmetricDensityMatrix:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        _store_matrices(self, mat, symmetric_dimension(self.n, self.d), f"(n={self.n}, d={self.d})")
+        _store_matrices(self, mat, [(self.n, self.d)], f"(n={self.n}, d={self.d})")
         traces = np.trace(mat, axis1=-2, axis2=-1)
         bad = traces[~(np.abs(traces - 1.0) <= NORM_TOL)]
         if bad.size:
@@ -213,7 +216,8 @@ class BipartiteOperator:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
-        _store_matrices(self, mat, self.bipartition.dim, self.bipartition)
+        bip = self.bipartition
+        _store_matrices(self, mat, [(bip.k, bip.d), (bip.n - bip.k, bip.d)], bip)
 
     @property
     def dim(self) -> int:

@@ -123,6 +123,8 @@ def expectation_value(rho: SymmetricDensityMatrix, w: Witness):
     if rho.dim != w.dim:
         raise ValueError(f"expectation_value: state dim {rho.dim} != witness dim {w.dim}")
     mats = rho.matrix
+    if not np.isfinite(mats).all():  # changed in place after the container checked it
+        raise ValueError("expectation_value: state matrix has a non-finite entry")
     diagonal = np.array(w.diagonal)
     # One BLAS dot per matrix: a stacked matmul sums in another order and can change the last bit.
     rows = np.real(np.diagonal(mats, axis1=-2, axis2=-1)).reshape(-1, w.dim)

@@ -78,6 +78,17 @@ def test_modules_use_every_imported_name():
     assert TRACER_ONLY_IMPORTS <= {(module, name) for module, name, _ in load_bindings()}
 
 
+def test_only_combx_reads_the_print_limit():
+    """One module decides whether a closed-form integer is short enough to print."""
+    readers = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+        if "get_int_max_str_digits" in names:
+            readers.add(path.stem)
+    assert readers == {"combx"}
+
+
 class TestTable1:
     def test_reference_rows(self, capsys):
         code, out, _ = run(capsys, ["table1", "--nmax", "10"])
@@ -201,7 +212,7 @@ class TestSpectrum:
 
     def test_largest_printable_denominator(self, capsys):
         # At the smallest digit limit, 640, n = 2120 is the largest balanced cut whose
-        # j = 0 denominator (n+1) C(n, n/2) prints; its lgamma estimate lies within
+        # j = 0 denominator (n+1) C(n, n/2) prints; its log10 bounds lie within
         # one digit of the limit, so the guard decides on the integer itself.
         denominators = [(n + 1) * math.comb(n, n // 2) for n in (2120, 2121)]
         assert denominators[0] < 10**640 <= denominators[1]

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from symppt import (
     symmetric_dimension,
 )
 from symppt import symstate
+from symppt.combx import SqrtRational, multinomial
 from symppt.symstate import _occupations, split_coefficients
 
 from oracles import brute_split_overlaps, compositions, qubit_occupation, random_density, random_pure
@@ -120,11 +122,19 @@ class TestDickeDecomposition:
                 n += 1
 
     def test_qudit_matches_qubit_route(self):
+        # The qubit branch's coefficients against the qudit formula
+        # sqrt( M(k; a) M(n-k; b) / M(n; m) ) on the occupations m = (n - alpha, alpha).
         for n in range(2, 13):
             for k in range(1, n // 2 + 1):
-                qubit = dicke_decomposition(Bipartition(n, k), 3 % (n + 1))
-                qudit = dicke_decomposition(Bipartition(n, k, 2), 3 % (n + 1))
-                assert qubit == qudit
+                for alpha in range(n + 1):
+                    m = (n - alpha, alpha)
+                    expected = []
+                    for beta in range(n - k + 1):
+                        a, b = (k - alpha + beta, alpha - beta), (n - k - beta, beta)
+                        if min(a) >= 0:
+                            ratio = Fraction(multinomial(k, a) * multinomial(n - k, b), multinomial(n, m))
+                            expected.append((alpha - beta, beta, SqrtRational(ratio)))
+                    assert dicke_decomposition(Bipartition(n, k), alpha) == expected, (n, k, alpha)
 
     def test_coefficients_normalized(self):
         for d, n in [(3, 5), (4, 4)]:
@@ -350,6 +360,37 @@ class TestUnprintableDimension:
             "got shape (1, 2)"
         )
 
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_containers_refused_without_building_the_dimension(self, monkeypatch, n):
+        def no_dimension(*args):
+            raise AssertionError("the sector dimension was built")
+
+        monkeypatch.setattr(symstate, "symmetric_dimension", no_dimension)
+        cases = [
+            (lambda: SymmetricDensityMatrix(n, n, np.eye(2)),
+             f"SymmetricDensityMatrix: dimension for (n={n}, d={n})"),
+            (lambda: BipartiteOperator(Bipartition(n, 1, n), np.eye(2)),
+             f"BipartiteOperator: dimension for Bipartition(n={n}, k=1, d={n})"),
+        ]
+        for build, space in cases:
+            with int_max_str_digits(4300), pytest.raises(ValueError) as info:
+                start = time.perf_counter()
+                build()
+            assert time.perf_counter() - start < 0.01
+            assert str(info.value) == f"{space} has more than 4300 digits, got shape (2, 2)"
+
+    def test_bipartite_product_past_the_limit(self):
+        # dim_a = dim_b = 10^320 + 1 have 321 digits each; their product has 641.
+        bip = Bipartition(2 * 10**320, 10**320)
+        with int_max_str_digits(640):
+            assert len(str(bip.dim_a)) == len(str(bip.dim_b)) == 321
+            with pytest.raises(ValueError) as info:
+                BipartiteOperator(bip, np.eye(2))
+            message = str(info.value)
+            with pytest.raises(ValueError, match=f"^BipartiteOperator: expected {(10**320 - 1) ** 2}x"):
+                BipartiteOperator(Bipartition(2 * 10**320 - 4, 10**320 - 2), np.eye(2))  # 640 digits
+        assert message == f"BipartiteOperator: dimension for {bip} has more than 640 digits, got shape (2, 2)"
+
     def test_print_limit_boundary(self):
         with int_max_str_digits(640):
             with pytest.raises(ValueError, match=f"^PureSymmetricState: expected {10**640 - 1} amplitudes"):
@@ -384,6 +425,23 @@ def _with_nonfinite(valid: np.ndarray, where: str, value, stack: bool) -> np.nda
     else:
         mat[0, 1], mat[1, 0] = value, np.conj(value)
     return mats if stack else mat
+
+
+@pytest.mark.parametrize(
+    "dtype,where,value,stack", [case for case in NONFINITE_CASES if np.isinf(case.values[2])]
+)
+def test_inf_entries_raise_value_error_with_warnings_as_errors(dtype, where, value, stack):
+    """inf - inf inside the Hermitian check is nan, which fails it with no RuntimeWarning."""
+    cases = [
+        (SymmetricDensityMatrix, (2, 2), np.eye(3, dtype=dtype) / 3),
+        (BipartiteOperator, (Bipartition(3, 1),), np.eye(6, dtype=dtype)),
+    ]
+    for container, args, valid in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                container(*args, _with_nonfinite(valid, where, value, stack))
+        assert str(info.value) == f"{container.__name__}: matrix is not Hermitian within 1e-12"
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -130,6 +130,18 @@ class TestExpectation:
         with pytest.raises(RuntimeError, match="imaginary part"):
             expectation_value(rho, builtin_witness("W5"))
 
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("where", [(0, 0), (0, -1)], ids=["diagonal", "corner"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entry_after_construction(self, value, where, stack):
+        rho = ghz_witness_mixture(5, np.array([0.2, 0.97, 0.8]) if stack else 0.97)
+        (rho.matrix[1] if stack else rho.matrix)[where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                expectation_value(rho, builtin_witness("W5"))
+        assert str(info.value) == "expectation_value: state matrix has a non-finite entry"
+
 
 class TestProductExpectation:
     def test_w5_equator(self):

@@ -41,7 +41,7 @@ from .witness import (
 
 SPECTRUM_BOTH_TOL = 1e-10
 QUDIT_CHECK_REL_TOL = 1e-9
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 # The p grid is checked against this cap before it is allocated.
 SCAN_STEPS_CAP = 100_000
 # One chunk's stack of transposed states, in bytes: it bounds the memory a scan

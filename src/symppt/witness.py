@@ -198,15 +198,14 @@ def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
     phi_star = 0.0 if w.corner <= 0 else math.pi / w.n
     line = functools.partial(product_state_expectation, w, phi=phi_star)
     half = np.linspace(0.0, math.pi / 2, max(grid_w // 2 + 1, 3))
-    i = int(np.argmin(_values(w, half, np.array([math.cos(w.n * phi_star)]))))
-    lo = half[max(i - 1, 0)]
-    hi = half[min(i + 1, len(half) - 1)]
+    profile = _values(w, half, np.array([math.cos(w.n * phi_star)]))[:, 0]
+    i = int(np.argmin(profile))
+    lo, hi = half[max(i - 1, 0)], half[min(i + 1, len(half) - 1)]
     theta_best, val_best = _golden_min(line, lo, hi, REFINE_TOL)
-    # the true minimum may sit on the boundary of the fold domain
-    for theta_edge in (0.0, math.pi / 2):
-        val_edge = line(theta_edge)
-        if val_edge < val_best:
-            theta_best, val_best = theta_edge, val_edge
+    # the true minimum may sit on the boundary of the fold domain, the profile's ends at 0 and pi/2
+    for end in (0, -1):
+        if profile[end] < val_best:
+            theta_best, val_best = half[end], profile[end]
 
     thetas = np.linspace(0.0, math.pi, grid_w)
     cos_nphi = np.cos(w.n * np.linspace(0.0, 2 * math.pi, grid_h, endpoint=False))

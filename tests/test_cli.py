@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from symppt import (
     Bipartition,
+    Spectrum,
     Witness,
     builtin_witness,
     cli,
@@ -945,3 +946,14 @@ class TestCliProperties:
         if code == 1:
             assert len(err.splitlines()) == 1, (argv, err)
         assert run_quiet(argv) == (code, out, err), argv
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["spectrum", "--n", "4", "--mode", "both"], 2,
+     "symppt: numerical failure: spectrum: numeric degeneracy structure deviates from the closed form\n"),
+    (["qudit-check", "--d", "3", "--nmax", "1"], 1, "symppt: error: qudit-check: nmax must be >= 2, got 1\n"),
+], ids=["spectrum-degeneracy-mismatch", "qudit-check-nmax-1"])
+def test_command_error_messages(capsys, monkeypatch, argv, code, err):
+    # One level of full multiplicity: no closed-form spectrum with k >= 1 has that structure.
+    monkeypatch.setattr(cli, "_numeric_spectrum", lambda bip: Spectrum(((0.0, bip.dim),)))
+    assert run(capsys, argv) == (code, "", err)

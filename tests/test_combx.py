@@ -180,3 +180,16 @@ def test_symmetric_dimension():
     assert symmetric_dimension(5, 2) == 6
     assert symmetric_dimension(4, 3) == 15
     assert symmetric_dimension(3, 4) == 20
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: multinomial(-1, []), ValueError, "multinomial: n must be nonnegative, got -1"),
+    (lambda: dicke_split_coefficient(4, 1, 5, 0), ValueError,
+     "dicke_split_coefficient: need 0 <= alpha <= n, got alpha=5"),
+    (lambda: dicke_split_coefficient(4, 1, -1, 0), ValueError,
+     "dicke_split_coefficient: need 0 <= alpha <= n, got alpha=-1"),
+], ids=["multinomial-negative-n", "split-alpha-above-n", "split-alpha-negative"])
+def test_domain_error_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

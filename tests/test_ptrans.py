@@ -636,3 +636,19 @@ def test_sappt_threshold_consistency_with_corner_vector():
         assert lam < 0
         lam, _ = ghz_corner_eigencheck(n, n // 2, p_min)
         assert abs(lam) < 1e-12
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: maxmixed_pt_eigenbasis(Bipartition(4, 1, 3)), ValueError,
+     "maxmixed_pt_eigenbasis: defined for qubits only"),
+    (lambda: schmidt_spectrum(ghz_state(5), Bipartition(4, 1)), ValueError,
+     "schmidt_spectrum: state (n=5, d=2) does not match Bipartition(n=4, k=1, d=2)"),
+    (lambda: mixture_min_eig_bound(ghz_state(4), 0.5, Bipartition(4, 1, 3)), ValueError,
+     "mixture_min_eig_bound: defined for qubits only"),
+    (lambda: mixture_min_eig_bound(ghz_state(4), 1.5, Bipartition(4, 1)), ValueError,
+     "mixture_min_eig_bound: p must lie in [0, 1], got 1.5"),
+], ids=["eigenbasis-qudit", "schmidt-mismatch", "bound-qudit", "bound-p-above-1"])
+def test_domain_error_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -379,6 +379,38 @@ class TestUnprintableDimension:
             assert time.perf_counter() - start < 0.01
             assert str(info.value) == f"{space} has more than 4300 digits, got shape (2, 2)"
 
+    def test_numpy_integer_sizes_take_the_same_refusal(self, monkeypatch):
+        def no_dimension(*args):
+            raise AssertionError("the sector dimension was built")
+
+        monkeypatch.setattr(symstate, "symmetric_dimension", no_dimension)
+        n = np.int64(10**5)
+        bip = Bipartition(n, np.int64(1), n)
+        cases = [
+            (lambda: SymmetricDensityMatrix(n, n, np.eye(2)),
+             f"SymmetricDensityMatrix: dimension for (n={n}, d={n})", (2, 2)),
+            (lambda: BipartiteOperator(bip, np.eye(2)), f"BipartiteOperator: dimension for {bip}", (2, 2)),
+            (lambda: PureSymmetricState(n, n, [1]), f"PureSymmetricState: dimension for (n={n}, d={n})", (1,)),
+        ]
+        for build, space, shape in cases:
+            with int_max_str_digits(4300), pytest.raises(ValueError) as info:
+                start = time.perf_counter()
+                build()
+            assert time.perf_counter() - start < 0.01
+            assert str(info.value) == f"{space} has more than 4300 digits, got shape {shape}"
+
+    @pytest.mark.parametrize("n, d, error, message", [
+        (2.0, 2, TypeError, "'float' object cannot be interpreted as an integer"),
+        (2, 2.5, TypeError, "'float' object cannot be interpreted as an integer"),
+        (np.float64(2), 2, TypeError, "'numpy.float64' object cannot be interpreted as an integer"),
+        (-1.5, 2, ValueError, "symmetric_dimension: invalid (n=-1.5, d=2)"),
+        (2, 0.5, ValueError, "symmetric_dimension: invalid (n=2, d=0.5)"),
+    ])
+    def test_non_integer_sizes_keep_their_errors(self, n, d, error, message):
+        with pytest.raises(error) as info:
+            SymmetricDensityMatrix(n, d, np.eye(3) / 3)
+        assert str(info.value) == message
+
     def test_bipartite_product_past_the_limit(self):
         # dim_a = dim_b = 10^320 + 1 have 321 digits each; their product has 641.
         bip = Bipartition(2 * 10**320, 10**320)
@@ -635,3 +667,24 @@ def test_malformed_state_json_raises_value_error(case):
     text, message = BAD_STATE_JSON[case]
     with pytest.raises(ValueError, match=message):
         state_from_json(text)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dicke_decomposition(Bipartition(4, 1), 1.5), ValueError,
+     "dicke_decomposition: invalid qubit label 1.5 for n=4"),
+    (lambda: ghz_state(1), ValueError, "ghz_state: need n >= 2, got 1"),
+    (lambda: coherent_state(0, 0.0, 0.0), ValueError, "coherent_state: need n >= 1, got 0"),
+    (lambda: mix_with_identity(5, 0.5, ghz_state(4)), ValueError, "mix_with_identity: state has n=4, expected 5"),
+    (lambda: embed_pure(ghz_state(5), Bipartition(4, 1)), ValueError,
+     "embed_pure: state (n=5, d=2) does not match Bipartition(n=4, k=1, d=2)"),
+], ids=["qubit-label-not-integer", "ghz-n-1", "coherent-n-0", "mix-n-mismatch", "embed-pure-mismatch"])
+def test_domain_error_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_bipartite_operator_dim():
+    bip = Bipartition(5, 2)
+    assert BipartiteOperator(bip, np.eye(bip.dim)).dim == 12
+    assert BipartiteOperator(bip, np.stack([np.eye(bip.dim)] * 3)).dim == 12

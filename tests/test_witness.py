@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symppt import (
+    SymmetricDensityMatrix,
     Witness,
     builtin_witness,
     detection_threshold,
@@ -221,6 +222,22 @@ class TestMinimizeOverProducts:
         val, (theta, phi) = minimize_over_products(w)
         assert (type(val), type(theta), type(phi)) == (float, float, float)
         assert (theta == math.pi / 2) == (w.name == "W5")
+
+    def test_fold_edges_come_from_the_coarse_scan(self, monkeypatch):
+        w, grid = builtin_witness("W9"), (721, 360)
+        expected = minimize_over_products_dense(w, grid, GRID_AGREEMENT_TOL)
+        scalar, thetas = witness.product_state_expectation, []
+
+        def counted(w, theta, phi):
+            thetas.append(theta)
+            return scalar(w, theta, phi)
+
+        monkeypatch.setattr(witness, "product_state_expectation", counted)
+        val, (theta, phi) = minimize_over_products(w, grid)
+        # 2 + 29 golden-section points to 1e-8 and the midpoint; the edges 0 and pi/2 come from the scan
+        assert len(thetas) == 32
+        assert not {0.0, math.pi / 2} & set(thetas)
+        assert float_bits([val, theta, phi]) == float_bits([expected[0], *expected[1]])
 
     def test_all_builtins_strictly_positive(self):
         for name in ("W5", "W7", "W9"):
@@ -432,3 +449,14 @@ class TestWitnessJson:
         ref, (theta_ref, _) = minimize_over_products(w5)
         assert val == pytest.approx(ref / 2, abs=1e-12)
         assert theta == pytest.approx(theta_ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Witness("short", (1.0,), 0.0), ValueError, "Witness: diagonal needs at least 2 entries"),
+    (lambda: expectation_value(SymmetricDensityMatrix(2, 3, np.eye(6) / 6), builtin_witness("W5")),
+     ValueError, "expectation_value: witnesses act on qubit sectors"),
+], ids=["one-entry-diagonal", "qutrit-state"])
+def test_domain_error_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

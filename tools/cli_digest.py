@@ -1,0 +1,121 @@
+"""Byte-identity check of the symppt CLI between two source trees.
+
+Usage, from the root of a checkout:
+
+    python tools/cli_digest.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Each
+side runs in a fresh interpreter that imports symppt from its own tree and
+calls ``symppt.cli.main(argv)`` in-process for every command, after clearing
+the CLI's per-process memos (``_numeric_spectrum`` and ``_product_min``).  A
+command's digest is the SHA-256 of its exit code, stdout and stderr.  The
+script prints the command count and every argv whose digests differ, and
+exits 1 if any does.
+
+The 488 commands:
+
+- the 108 ``qubit_scan`` operations of seed 7 (``perfbench/workloads.py``);
+- the 274 README reference commands, ``workloads.reference_argvs()``;
+- ``qudit-check --d {2,3,4} --nmax 15`` in CSV and JSON;
+- ``witness W5|W7|W9`` as a report and with ``--validate``, at seven grids
+  from 3x1 to 2880x1440, in text and JSON;
+- two witness files, one with a positive and one with a negative corner, as
+  a JSON report and with ``--validate``, at four grids.
+
+``perfbench/workloads.py`` is only imported, never changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SCAN_SEED = 7
+WITNESS_GRIDS = ("3x1", "4x1", "5x3", "720x360", "721x361", "1000x17", "2880x1440")
+FILE_GRIDS = ("3x1", "720x360", "721x360", "1441x7")
+WITNESS_FILES = {
+    "positive_corner.json": {"name": "pos", "diagonal": [1.0, 0.2, 0.2, 1.0], "corner": 0.4},
+    "negative_corner.json": {"name": "neg", "diagonal": [1.0, -0.3, 0.5, 0.5, -0.3, 1.0], "corner": -0.7},
+}
+
+
+def commands(witness_dir: Path) -> list[list[str]]:
+    """Every argv of the check; the witness files are named inside witness_dir."""
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    argvs = [op["argv"] for op in workloads.generate("qubit_scan", SCAN_SEED)]
+    argvs += workloads.reference_argvs()
+    argvs += [["qudit-check", "--d", str(d), "--nmax", "15", "--format", fmt]
+              for d in (2, 3, 4) for fmt in ("csv", "json")]
+    for name in ("W5", "W7", "W9"):
+        for grid in WITNESS_GRIDS:
+            for fmt in ("text", "json"):
+                argvs.append(["witness", name, "--grid", grid, "--format", fmt])
+                argvs.append(["witness", name, "--validate", "--grid", grid, "--format", fmt])
+    for filename in WITNESS_FILES:
+        path = str(witness_dir / filename)
+        for grid in FILE_GRIDS:
+            argvs.append(["witness", "--witness-file", path, "--grid", grid, "--format", "json"])
+            argvs.append(["witness", "--witness-file", path, "--validate", "--grid", grid])
+    return argvs
+
+
+def digests(src: str, argvs: list[list[str]]) -> list[str]:
+    """One hex digest of (exit code, stdout, stderr) per argv, run in this process from src."""
+    sys.path.insert(0, src)
+    from symppt import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"cli_digest: symppt imported from {cli.__file__}, not from {src}")
+    out = []
+    for argv in argvs:
+        cli._numeric_spectrum.cache_clear()
+        cli._product_min.cache_clear()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(list(argv))
+        record = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+        out.append(hashlib.sha256(record.encode()).hexdigest())
+    return out
+
+
+def run_side(src: str, argvs: list[list[str]]) -> list[str]:
+    """digests(src, argvs), computed in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--side", src],
+        input=json.dumps(argvs), capture_output=True, text=True,
+    )
+    if proc.returncode:
+        raise SystemExit(f"cli_digest: the run from {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--side":
+        json.dump(digests(argv[1], json.load(sys.stdin)), sys.stdout)
+        return 0
+    if len(argv) != 2:
+        print("usage: python tools/cli_digest.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        for filename, data in WITNESS_FILES.items():
+            (Path(tmp) / filename).write_text(json.dumps(data), encoding="utf-8")
+        argvs = commands(Path(tmp))
+        parent, change = (run_side(src, argvs) for src in argv)
+    mismatches = [" ".join(a) for a, p, c in zip(argvs, parent, change) if p != c]
+    print(f"{len(argvs)} commands, {len(mismatches)} mismatches")
+    for line in mismatches:
+        print(f"mismatch: {line}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -181,7 +181,7 @@ def _weight_stacks(bip: Bipartition):
     stack the (count, size, size) blocks, bitwise symmetric since c c' == c' c."""
     if bip.dim > DIM_CAP:
         raise ValueError(f"maxmixed_pt_blocks: bipartite dimension {bip.dim} exceeds cap {DIM_CAP}")
-    coeffs = split_coefficients(bip)
+    coeffs = split_coefficients(bip).ravel()
     keys = (_label_keys(bip, bip.k)[:, None] - _label_keys(bip, bip.n - bip.k)).ravel()
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.r_[True, keys[order[1:]] != keys[order[:-1]]])
@@ -190,9 +190,9 @@ def _weight_stacks(bip: Bipartition):
 
     def stack(size):
         members = order[starts[sizes == size][:, None] + np.arange(size)]
-        ia, ib = np.divmod(members, bip.dim_b)
-        blocks = coeffs[ia[:, None, :], ib[:, :, None]]
-        blocks *= coeffs[ia[:, :, None], ib[:, None, :]]
+        ib = members % bip.dim_b
+        crossed = coeffs[(members - ib)[:, None, :] + ib[:, :, None]]  # c(a_s, b_r) at [r, s]
+        blocks = crossed * crossed.swapaxes(-1, -2)
         blocks /= dim_sector
         return members, blocks
 

@@ -6,8 +6,9 @@ the sector dimension.  The central operation is the isometric embedding
 of the sector into the tensor product of the two symmetric sectors of a
 k | n-k bipartition, driven by the split coefficients: exact in
 ``dicke_decomposition``, as floats in ``split_coefficients``.  The float
-table reads cached Python-int multinomials per (particle count, d) and finds
-each pair's sector label by a sorted lookup of integer label keys.
+table is the hypergeometric form prod_i C(a_i + b_i, a_i) / C(n, k) over cached
+label arrays, read from one binomial table per n: exact float64 integers while
+C(n, n // 2) < 2**53, Python ints past it.
 """
 
 from __future__ import annotations
@@ -104,6 +105,11 @@ class Bipartition:
     d: int = 2
 
     def __post_init__(self):
+        try:  # store Python ints, so numpy sizes print and key caches as plain ones do
+            for name in ("n", "k", "d"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise ValueError(f"Bipartition: n, k and d must be integers, got {self}") from None
         if self.d < 2:
             raise ValueError(f"Bipartition: local dimension must be >= 2, got {self.d}")
         if self.n < 2:
@@ -139,10 +145,18 @@ def dicke_labels(n: int, d: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _occupations(n: int, d: int) -> tuple:
-    """The occupation tuples of dicke_labels(n, d), for qubits (n - alpha, alpha): the gaps
-    between d - 1 bars among n + d - 1 slots, bar sets in reverse lexicographic order."""
-    bars = reversed(list(itertools.combinations(range(n + d - 1), d - 1)))
-    return tuple(tuple(hi - lo - 1 for lo, hi in zip((-1, *b), (*b, n + d - 1))) for b in bars)
+    """The occupation tuples of dicke_labels(n, d), for qubits (n - alpha, alpha)."""
+    return tuple(map(tuple, _occupation_array(n, d).tolist()))
+
+
+@functools.lru_cache(maxsize=None)
+def _occupation_array(n: int, d: int) -> np.ndarray:
+    """Read-only int64 array of _occupations(n, d), one label per row: the gaps between d - 1
+    bars among n + d - 1 slots, bar sets in reverse lexicographic order."""
+    bars = np.array(list(itertools.combinations(range(n + d - 1), d - 1)), dtype=np.int64)[::-1]
+    occupations = np.diff(bars, axis=1, prepend=-1, append=n + d - 1) - 1
+    occupations.flags.writeable = False
+    return occupations
 
 
 @dataclass(frozen=True)
@@ -317,9 +331,13 @@ def mix_with_identity(n: int, p, psi: PureSymmetricState) -> SymmetricDensityMat
 
 
 @functools.lru_cache(maxsize=None)
-def _multinomials(n: int, d: int) -> tuple:
-    """multinomial(n, m) for every label m of dicke_labels(n, d), in order."""
-    return tuple(multinomial(n, m) for m in _occupations(n, d))
+def _binomials(n: int) -> np.ndarray:
+    """Read-only table of C(i, j) for 0 <= i, j <= n, 0 for j > i.  float64 if C(n, n // 2) < 2**53,
+    so every entry and every product up to C(n, n // 2) is an exact integer; Python ints past it."""
+    rows = [[math.comb(i, j) for j in range(n + 1)] for i in range(n + 1)]
+    table = np.array(rows, dtype=float if math.comb(n, n // 2) < 2**53 else object)
+    table.flags.writeable = False
+    return table
 
 
 def _label_keys(bip: Bipartition, m: int) -> np.ndarray:
@@ -329,31 +347,20 @@ def _label_keys(bip: Bipartition, m: int) -> np.ndarray:
     radix = bip.n + 1
     powers = [radix**j for j in range(bip.d)]
     dtype = object if radix**bip.d >= 2**63 else np.int64
-    return np.array(_occupations(m, bip.d)) @ np.array(powers, dtype=dtype)
-
-
-def _sector_columns(bip: Bipartition) -> np.ndarray:
-    """Sector label index of a + b for every pair (a, b), in row-major order."""
-    sector = _label_keys(bip, bip.n)
-    sorter = np.argsort(sector)
-    pairs = (_label_keys(bip, bip.k)[:, None] + _label_keys(bip, bip.n - bip.k)).ravel()
-    return sorter[np.searchsorted(sector, pairs, sorter=sorter)]
+    return _occupation_array(m, bip.d) @ np.array(powers, dtype=dtype)
 
 
 def split_coefficients(bip: Bipartition) -> np.ndarray:
     """Float split coefficients c(a, b) = sqrt( M(k; a) M(n-k; b) / M(n; a+b) ).
 
-    A dim_a x dim_b table over the A- and B-side labels, from the cached
-    Python-int multinomials of every row, column and sector label.  int / int
-    true division and float(Fraction) are both correctly rounded, so each
-    entry is float() of the dicke_decomposition coefficient, bit for bit.
+    A dim_a x dim_b table over the A- and B-side labels.  The ratio is the hypergeometric
+    prod_i C(a_i + b_i, a_i) / C(n, k) over _binomials(n), exact float64 integers below 2**53
+    and Python ints past it, so it is one correctly rounded integer division, as float(Fraction)
+    is: each entry is float() of the dicke_decomposition coefficient, bit for bit.
     """
-    rows = _multinomials(bip.k, bip.d)
-    cols = _multinomials(bip.n - bip.k, bip.d)
-    sector = _multinomials(bip.n, bip.d)
-    products = (x * y for x in rows for y in cols)
-    table = [math.sqrt(num / sector[m]) for num, m in zip(products, _sector_columns(bip).tolist())]
-    return np.array(table).reshape(bip.dim_a, bip.dim_b)
+    a = _occupation_array(bip.k, bip.d)[:, None, :]
+    products = _binomials(bip.n)[a + _occupation_array(bip.n - bip.k, bip.d), a].prod(axis=-1)
+    return np.sqrt((products / math.comb(bip.n, bip.k)).astype(float, copy=False))
 
 
 def embedding_matrix(n: int, k: int, d: int = 2) -> np.ndarray:
@@ -364,8 +371,11 @@ def embedding_matrix(n: int, k: int, d: int = 2) -> np.ndarray:
     coefficients are normalized and distinct labels own disjoint rows.
     """
     bip = Bipartition(n, k, d)
-    v = np.zeros((bip.dim, symmetric_dimension(n, d)))
-    v[np.arange(bip.dim), _sector_columns(bip)] = split_coefficients(bip).ravel()
+    sector = _label_keys(bip, bip.n)  # the column of a + b: a sorted lookup of its key
+    sorter = np.argsort(sector)
+    pairs = (_label_keys(bip, bip.k)[:, None] + _label_keys(bip, bip.n - bip.k)).ravel()
+    v = np.zeros((bip.dim, sector.size))
+    v[np.arange(bip.dim), sorter[sector.searchsorted(pairs, sorter=sorter)]] = split_coefficients(bip).ravel()
     return v
 
 

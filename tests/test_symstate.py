@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symppt import (
@@ -54,6 +54,17 @@ class TestBipartition:
         with pytest.raises(ValueError):
             Bipartition(5, 3)
 
+    def test_rejects_non_integer_sizes(self):
+        for args in [(4.5, 1), (5, 1.0), (5, 2, 2.0), (5, np.float64(2)), ("5", 2)]:
+            with pytest.raises(ValueError, match=r"^Bipartition: n, k and d must be integers, got "):
+                Bipartition(*args)
+
+    def test_numpy_integer_sizes_are_stored_as_python_ints(self):
+        bip = Bipartition(np.int64(5), np.int32(2), np.uint8(3))
+        assert bip == Bipartition(5, 2, 3)
+        assert {type(bip.n), type(bip.k), type(bip.d)} == {int}
+        assert repr(bip) == "Bipartition(n=5, k=2, d=3)"
+
 
 class TestLabels:
     def test_qubit_labels_are_excitations(self):
@@ -78,6 +89,16 @@ class TestLabels:
             assert _occupations(n, 2) == tuple((n - alpha, alpha) for alpha in range(n + 1))
             for d in range(3, 7):
                 assert dicke_labels(n, d) is _occupations(n, d)
+
+    def test_cached_arrays_are_read_only(self):
+        # Every later table reads these caches; an in-place write must not corrupt them.
+        for cached in (symstate._occupation_array(4, 3), symstate._binomials(6), symstate._binomials(60)):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                cached += cached
+        assert symstate._occupation_array(4, 3)[0].tolist() == [4, 0, 0]
+        assert symstate._binomials(6)[0, 0] == 1
 
 
 class TestDickeDecomposition:
@@ -238,6 +259,11 @@ TABLE_CUTS = [
 class TestSplitCoefficients:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(bip=st.sampled_from(TABLE_CUTS))
+    @example(bip=Bipartition(56, 28))
+    @example(bip=Bipartition(57, 28))
+    @example(bip=Bipartition(57, 25))
+    @example(bip=Bipartition(11, 5, 4))
+    @example(bip=Bipartition(15, 7, 3))
     def test_table_and_embedding_equal_exact_decomposition(self, bip):
         # dicke_decomposition is checked against string enumeration above;
         # the float table and its scatter, the embedding, must hold float()
@@ -252,6 +278,12 @@ class TestSplitCoefficients:
             for a, b, coeff in dicke_decomposition(bip, label):
                 assert table[row[a], col[b]] == float(coeff), (bip, a, b)
                 assert v[row[a] * bip.dim_b + col[b], m] == float(coeff), (bip, a, b)
+
+    def test_binomial_table_dtype_switches_at_two_to_the_53(self):
+        # C(56, 28) < 2**53 < C(57, 28).  At (57, 25) a float64 table would round 280 of the
+        # 858 entries differently; the explicit examples above cover both sides.
+        assert symstate._binomials(56).dtype == np.float64
+        assert symstate._binomials(57).dtype == object
 
 
 class TestEmbedding:

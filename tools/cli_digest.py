@@ -12,11 +12,14 @@ command's digest is the SHA-256 of its exit code, stdout and stderr.  The
 script prints the command count and every argv whose digests differ, and
 exits 1 if any does.
 
-The 488 commands:
+The 491 commands:
 
 - the 108 ``qubit_scan`` operations of seed 7 (``perfbench/workloads.py``);
 - the 274 README reference commands, ``workloads.reference_argvs()``;
 - ``qudit-check --d {2,3,4} --nmax 15`` in CSV and JSON;
+- three qubit commands past n = 56, where the split-coefficient table holds
+  Python ints: ``qudit-check --d 2 --nmax 64``, ``spectrum --n 57 --mode
+  both`` and ``spectrum --n 60 --k 29 --mode numeric``;
 - ``witness W5|W7|W9`` as a report and with ``--validate``, at seven grids
   from 3x1 to 2880x1440, in text and JSON;
 - two witness files, one with a positive and one with a negative corner, as
@@ -55,6 +58,9 @@ def commands(witness_dir: Path) -> list[list[str]]:
     argvs += workloads.reference_argvs()
     argvs += [["qudit-check", "--d", str(d), "--nmax", "15", "--format", fmt]
               for d in (2, 3, 4) for fmt in ("csv", "json")]
+    # Past n = 56 the split coefficients divide Python ints, not float64 integers.
+    argvs += [["qudit-check", "--d", "2", "--nmax", "64"], ["spectrum", "--n", "57", "--mode", "both"],
+              ["spectrum", "--n", "60", "--k", "29", "--mode", "numeric"]]
     for name in ("W5", "W7", "W9"):
         for grid in WITNESS_GRIDS:
             for fmt in ("text", "json"):

@@ -175,9 +175,19 @@ def _numeric_spectrum(bip: Bipartition) -> Spectrum:
 
 
 @functools.cache
+def _analytic_spectrum(bip: Bipartition) -> Spectrum:
+    """Exact levels of the transposed uniform state, once per cut per process."""
+    return maxmixed_pt_spectrum(bip)
+
+
+@functools.cache
 def _product_min(w, grid: tuple[int, int]):
     """minimize_over_products(w, grid), once per witness and grid per process."""
     return minimize_over_products(w, grid)
+
+
+# Every per-process memo above; whoever needs them empty clears this tuple, so none is missed.
+_MEMOS = (_numeric_spectrum, _analytic_spectrum, _product_min)
 
 
 def cmd_spectrum(args) -> Table:
@@ -188,10 +198,10 @@ def cmd_spectrum(args) -> Table:
     if args.mode != "analytic":
         numeric = _numeric_spectrum(bip)
     if args.mode != "both":
-        spec = maxmixed_pt_spectrum(bip) if args.mode == "analytic" else numeric
+        spec = _analytic_spectrum(bip) if args.mode == "analytic" else numeric
         return Table(header, "entries", ("value", "multiplicity"), list(spec.entries))
 
-    analytic = maxmixed_pt_spectrum(bip)
+    analytic = _analytic_spectrum(bip)
     if [m for _, m in analytic.entries] != [m for _, m in numeric.entries]:
         raise RuntimeError("spectrum: numeric degeneracy structure deviates from the closed form")
     rows = []
@@ -296,9 +306,11 @@ def cmd_witness(args) -> Table:
         header = {"witness": w.name, "product_min": val, "theta": theta, "phi": phi}
         return Table(header, text=text, violation=_invalid(w, val))
 
+    # Product-state values out of double range are the error to report, even when the
+    # expectation is also constant in p, so the minimum is taken before the threshold.
     p_min = sappt_threshold_qubits(n)
-    thr = detection_threshold(w, n)
     val, (theta, phi) = _product_min(w, args.grid)
+    thr = detection_threshold(w, n)
     # A valid witness has t >= 0, so with g = Tr rho(0) W < 0 it detects rho(p) exactly for p < p*.
     certified = val >= 0 and expectation_value(ghz_witness_mixture(n, 0.0), w) < 0 and thr > float(p_min)
     interval = [float(p_min), thr] if certified else None
@@ -343,12 +355,15 @@ def _parse_grid(text: str) -> tuple[int, int]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="symppt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # _parse_args hands a command's arguments to its subparser alone, so each subparser
+    # is kept by name and sets `command` itself.
+    parser._commands = sub.choices
 
     def command(name, func, help, formats=("csv", "json")):
         p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=formats, default=formats[0], help="output format")
         p.add_argument("--out", default=None, help="write output to PATH instead of stdout")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, command=name)
         return p
 
     p = command("table1", cmd_table1, "SAPPT thresholds and witness detection bounds per qubit count")
@@ -387,9 +402,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), walking argv once: the top-level parser would hand
+    everything after a command name to that command's subparser, so it goes there directly.
+    An empty argv, help and an unknown command stay with the top-level parser."""
+    parser = build_parser()
+    sub = parser._commands.get(argv[0]) if argv else None
+    return sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         table = args.func(args)
         text = _render(table, args.format)
         if args.out:

@@ -235,7 +235,8 @@ def detection_threshold(w: Witness, n: int) -> float:
     t = sum(w.diagonal) / (n + 1)
     g = (w.diagonal[0] + w.diagonal[-1]) / 2 + w.corner
     denom = g - t
-    if abs(denom) < 1e-12:
+    # Relative, as p* does not change when W is scaled.
+    if abs(denom) <= 1e-12 * max(abs(g), abs(t)):
         raise ValueError("detection_threshold: degenerate denominator, expectation constant in p")
     return g / denom
 

@@ -8,5 +8,5 @@ from symppt import cli
 
 @pytest.fixture(autouse=True)
 def clear_cli_memos():
-    cli._numeric_spectrum.cache_clear()
-    cli._product_min.cache_clear()
+    for memo in cli._MEMOS:
+        memo.cache_clear()

@@ -254,8 +254,8 @@ class TestSpectrum:
 
 
 def clear_memos():
-    cli._numeric_spectrum.cache_clear()
-    cli._product_min.cache_clear()
+    for memo in cli._MEMOS:
+        memo.cache_clear()
 
 
 def counting(monkeypatch, name) -> list:
@@ -317,6 +317,24 @@ class TestMemo:
     def test_four_spectrum_commands_assemble_once(self, capsys, monkeypatch):
         calls = counting(monkeypatch, "maxmixed_pt")
         for mode in ("numeric", "both"):
+            for fmt in ("csv", "json"):
+                assert run(capsys, ["spectrum", "--n", "12", "--mode", mode, "--format", fmt])[0] == 0
+        assert calls == [Bipartition(12, 6)]
+
+    def test_analytic_spectrum(self, capsys):
+        cuts = [(4, 2), (4, 1), (9, 4), (9, 1), (40, 20), (200, 100), (200, 3)]
+        argvs = [
+            ["spectrum", "--n", str(n), "--k", str(k), "--mode", "analytic", "--format", fmt]
+            for n, k in cuts for fmt in ("csv", "json")
+        ]
+        argvs += [["spectrum", "--n", "9", "--k", "4", "--mode", "both", "--format", fmt] for fmt in ("csv", "json")]
+        cold = self.warm_equals_cold(capsys, argvs)
+        assert {code for code, _, _ in cold} == {0}
+        assert len({out for _, out, _ in cold}) == len(argvs)
+
+    def test_analytic_and_both_build_the_exact_levels_once(self, capsys, monkeypatch):
+        calls = counting(monkeypatch, "maxmixed_pt_spectrum")
+        for mode in ("analytic", "both"):
             for fmt in ("csv", "json"):
                 assert run(capsys, ["spectrum", "--n", "12", "--mode", mode, "--format", fmt])[0] == 0
         assert calls == [Bipartition(12, 6)]
@@ -744,6 +762,31 @@ class TestWitnessCertification:
         code, out, err = run(capsys, ["witness", "--witness-file", str(files["invalid"]), "--threshold"])
         assert (code, out, err) == (0, "1.03448275862\n", "")
 
+    def test_threshold_does_not_depend_on_scale(self, capsys, tmp_path):
+        """p* = g / (g - t) is the same for every multiple of W, so a small W is not degenerate."""
+        w = builtin_witness("W5")
+
+        def lines(scale):
+            path = tmp_path / f"w5x{scale}.json"
+            path.write_text(json.dumps({"name": "W5", "diagonal": [scale * c for c in w.diagonal],
+                                        "corner": scale * w.corner}))
+            code, out, err = run(capsys, ["witness", "--witness-file", str(path)])
+            assert (code, err) == (0, ""), scale
+            return [line for line in out.splitlines() if line.startswith(("detection", "certified"))]
+
+        expected = lines(1)
+        assert len(expected) == 2
+        for scale in (1e-13, 1e-6, 1e6):
+            assert lines(scale) == expected, scale
+        err = "symppt: error: detection_threshold: degenerate denominator, expectation constant in p\n"
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"diagonal": [1, 1, 1, 1, 1, 1], "corner": 0}))
+        assert run(capsys, ["witness", "--witness-file", str(flat)]) == (1, "", err)
+        # g - t is a rounding error of 1e300, not a slope: constant in p relative to W's scale.
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(NONFINITE_WITNESS_FILES["1e300"]))
+        assert run(capsys, ["witness", "--witness-file", str(huge), "--threshold"]) == (1, "", err)
+
     @pytest.mark.parametrize("name", ["W5", "W7", "W9"])
     def test_builtin_witnesses_certify(self, capsys, name):
         code, out, err = run(capsys, ["witness", name, "--format", "json"])
@@ -934,6 +977,60 @@ def run_quiet(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+# Tokens the differential parse test inserts into argvs() examples: help and its
+# abbreviation, the end-of-options marker, the --flag=value form, an abbreviated
+# --format, flags no parser knows and a word no command is named.
+PARSE_TOKENS = [["-h"], ["--he"], ["--"], ["--n=5"], ["--form", "json"], ["--bogus"], ["-x", "1"], ["nope"]]
+
+
+@st.composite
+def parse_argvs(draw):
+    argv = draw(argvs())
+    argv = argv[: draw(st.integers(0, len(argv)))] if draw(st.booleans()) else argv
+    for tokens in draw(st.lists(st.sampled_from(PARSE_TOKENS), max_size=2)):
+        i = draw(st.integers(0, len(argv)))
+        argv[i:i] = tokens
+    return argv
+
+
+def parse_outcome(parse, argv):
+    """The Namespace, the ValueError message, or the SystemExit code and stdout of parse(argv)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parse(list(argv)))
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    except SystemExit as exc:
+        return "SystemExit", exc.code, out.getvalue()
+
+
+class TestParseOnce:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(argv=parse_argvs())
+    def test_same_outcome_as_the_top_level_parser(self, argv):
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli.build_parser().parse_args, argv)
+
+    def test_a_command_is_parsed_by_its_subparser_alone(self, capsys, monkeypatch):
+        parsers, parse_known_args = [], cli._Parser.parse_known_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_known_args", recording)
+        top = cli.build_parser()
+        assert run(capsys, ["table1", "--nmax", "4"])[0] == 0
+        assert top not in parsers
+        assert parsers == [top._commands["table1"]]
+        parsers.clear()
+        for argv in ([], ["no-such-command"], ["-h"]):
+            with contextlib.suppress(SystemExit):
+                run(capsys, argv)
+            assert parsers[0] is top
+            parsers.clear()
 
 
 class TestCliProperties:

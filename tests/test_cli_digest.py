@@ -21,8 +21,8 @@ def load_tool():
 
 def test_command_set(tmp_path):
     argvs = load_tool().commands(tmp_path)
-    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 491
-    assert sum(argv[0] == "scan" for argv in argvs) == 108
+    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 500
+    assert sum(argv[:1] == ["scan"] for argv in argvs) == 108
     assert sum("--witness-file" in argv for argv in argvs) == 16
 
 

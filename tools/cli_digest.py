@@ -7,12 +7,12 @@ Usage, from the root of a checkout:
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Each
 side runs in a fresh interpreter that imports symppt from its own tree and
 calls ``symppt.cli.main(argv)`` in-process for every command, after clearing
-the CLI's per-process memos (``_numeric_spectrum`` and ``_product_min``).  A
-command's digest is the SHA-256 of its exit code, stdout and stderr.  The
-script prints the command count and every argv whose digests differ, and
-exits 1 if any does.
+the CLI's per-process memos (``cli._MEMOS``).  A command's digest is the
+SHA-256 of its exit code, stdout and stderr; a command that raises
+``SystemExit`` (help) records the exit's code.  The script prints the command
+count and every argv whose digests differ, and exits 1 if any does.
 
-The 491 commands:
+The 500 commands:
 
 - the 108 ``qubit_scan`` operations of seed 7 (``perfbench/workloads.py``);
 - the 274 README reference commands, ``workloads.reference_argvs()``;
@@ -23,7 +23,11 @@ The 491 commands:
 - ``witness W5|W7|W9`` as a report and with ``--validate``, at seven grids
   from 3x1 to 2880x1440, in text and JSON;
 - two witness files, one with a positive and one with a negative corner, as
-  a JSON report and with ``--validate``, at four grids.
+  a JSON report and with ``--validate``, at four grids;
+- argument errors and help: a bare ``symppt``, an unknown command, a missing
+  required flag, a bad ``--mode`` choice, ``--bogus 1``, the abbreviation
+  ``--form json``, the ``--n=6`` form, and ``-h`` at the top level and after
+  ``spectrum``.
 
 ``perfbench/workloads.py`` is only imported, never changed.
 """
@@ -71,6 +75,9 @@ def commands(witness_dir: Path) -> list[list[str]]:
         for grid in FILE_GRIDS:
             argvs.append(["witness", "--witness-file", path, "--grid", grid, "--format", "json"])
             argvs.append(["witness", "--witness-file", path, "--validate", "--grid", grid])
+    argvs += [[], ["no-such-command"], ["spectrum"], ["spectrum", "--n", "5", "--mode", "exact"],
+              ["table1", "--bogus", "1"], ["table1", "--nmax", "4", "--form", "json"], ["spectrum", "--n=6"],
+              ["-h"], ["spectrum", "-h"]]
     return argvs
 
 
@@ -81,13 +88,18 @@ def digests(src: str, argvs: list[list[str]]) -> list[str]:
 
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"cli_digest: symppt imported from {cli.__file__}, not from {src}")
+    # A tree from before cli._MEMOS has these two memos.
+    memos = getattr(cli, "_MEMOS", None) or (cli._numeric_spectrum, cli._product_min)
     out = []
     for argv in argvs:
-        cli._numeric_spectrum.cache_clear()
-        cli._product_min.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(list(argv))
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
         record = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
         out.append(hashlib.sha256(record.encode()).hexdigest())
     return out

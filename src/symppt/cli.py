@@ -10,34 +10,24 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-import numpy as np
-
+from ._exact import (GRID_DEFAULT, Bipartition, Spectrum, builtin_witness, detection_threshold,
+                     load_witness_file, maxmixed_pt_spectrum)
 from .combx import print_limit_exceeded, sappt_threshold_qubits, symmetric_dimension
-from .ptrans import (
-    DIM_CAP,
-    Spectrum,
-    maxmixed_pt,
-    maxmixed_pt_spectrum,
-    min_eigenvalue,
-    partial_transpose_a,
-    qudit_min_eig_check,
-)
-from .symstate import Bipartition, BipartiteOperator, embed_bipartite
-from .witness import (
-    GRID_DEFAULT,
-    builtin_witness,
-    detection_threshold,
-    expectation_value,
-    ghz_witness_mixture,
-    load_witness_file,
-    minimize_over_products,
-)
+
+# Bound by _numeric() on first numeric use (np is numpy): table1, spectrum --mode analytic
+# and witness --threshold never load numpy or these modules.
+_NUMERIC = {
+    "ptrans": ("np", "DIM_CAP", "maxmixed_pt", "min_eigenvalue", "partial_transpose_a", "qudit_min_eig_check"),
+    "symstate": ("BipartiteOperator", "embed_bipartite"),
+    "witness": ("expectation_value", "ghz_witness_mixture", "minimize_over_products"),
+}
 
 SPECTRUM_BOTH_TOL = 1e-10
 QUDIT_CHECK_REL_TOL = 1e-9
@@ -60,6 +50,23 @@ _PENT_REFERENCE = {
     9: "0.99849",
     10: "1386/1387",
 }
+
+
+@functools.cache
+def _numeric() -> None:
+    """Bind the _NUMERIC names here once per process, keeping any already set (a patch sees every call)."""
+    for module, attrs in _NUMERIC.items():
+        module = importlib.import_module(f"{__package__}.{module}")
+        for attr in attrs:
+            globals().setdefault(attr, getattr(module, attr))
+
+
+def __getattr__(name: str):
+    """PEP 562: reading a _NUMERIC name before any numeric command binds them all."""
+    if any(name in attrs for attrs in _NUMERIC.values()):
+        _numeric()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,6 +178,7 @@ def cmd_table1(args) -> Table:
 def _numeric_spectrum(bip: Bipartition) -> Spectrum:
     """Grouped eigenvalues of the dense transposed uniform state, once per cut per process.
     Only the Spectrum (at most k + 1 levels) is kept, never the matrix nor a failure."""
+    _numeric()
     return Spectrum.from_eigenvalues(np.linalg.eigvalsh(maxmixed_pt(bip).matrix))
 
 
@@ -221,6 +229,7 @@ def _scan_chunk(dim: int) -> int:
 
 
 def cmd_scan(args) -> Table:
+    _numeric()
     if not (0 <= args.p_from <= args.p_to <= 1):
         raise ValueError(f"scan: need 0 <= p-from <= p-to <= 1, got [{args.p_from}, {args.p_to}]")
     if args.steps < 1:
@@ -253,6 +262,7 @@ def cmd_scan(args) -> Table:
 
 
 def cmd_qudit_check(args) -> Table:
+    _numeric()
     if args.nmax < 2:
         raise ValueError(f"qudit-check: nmax must be >= 2, got {args.nmax}")
     rows = []
@@ -300,6 +310,7 @@ def cmd_witness(args) -> Table:
     if args.threshold:
         thr = detection_threshold(w, n)
         return Table({"witness": w.name, "detection_threshold": thr}, text=_fmt(thr) + "\n")
+    _numeric()
     if args.validate:
         val, (theta, phi) = _product_min(w, args.grid)
         text = f"min={_fmt(val)} theta={_fmt(theta)} phi={_fmt(phi)}\n"

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _exact
 from .combx import symmetric_dimension
 from .symstate import (
     Bipartition,
@@ -54,44 +55,11 @@ __all__ = [
     "qudit_min_eig_check",
 ]
 
+# Defined without numpy in _exact; this module exports them as its own.
+Spectrum, maxmixed_pt_spectrum = _exact.Spectrum, _exact.maxmixed_pt_spectrum
 PT_HERM_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
-DEGENERACY_REL = 1e-6
 DIM_CAP = 5000
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Multiset of (eigenvalue, multiplicity) pairs, sorted ascending.
-
-    Values are exact Fractions on the analytic route and floats on the
-    numeric route; multiplicities always sum to the operator dimension.
-    """
-
-    entries: tuple
-
-    @classmethod
-    def from_eigenvalues(cls, values) -> "Spectrum":
-        """Group a sorted array of numeric eigenvalues into degenerate levels.
-
-        A new level starts where the gap to the previous value exceeds
-        DEGENERACY_REL |v_i| + len(v) eps max|v|: a relative separation, plus
-        the rounding a symmetric eigensolver leaves on the whole spectrum.
-        The reported value is the group mean.
-        """
-        vals = np.sort(np.asarray(values, dtype=float))
-        noise = len(vals) * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)
-        new_level = np.diff(vals) > DEGENERACY_REL * np.abs(vals[1:]) + noise
-        groups = np.split(vals, np.flatnonzero(new_level) + 1) if vals.size else []
-        return cls(tuple((float(group.mean()), len(group)) for group in groups))
-
-    @property
-    def dimension(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def expanded(self) -> np.ndarray:
-        """All eigenvalues as floats, ascending, repeated by multiplicity."""
-        return np.array([float(v) for v, m in self.entries for _ in range(m)])
 
 
 @dataclass(frozen=True)
@@ -197,23 +165,6 @@ def _weight_stacks(bip: Bipartition):
         return members, blocks
 
     return map(stack, sorted(set(sizes.tolist())))
-
-
-def maxmixed_pt_spectrum(bip: Bipartition) -> Spectrum:
-    """Exact spectrum of the transposed uniform state (qubits only).
-
-    Eigenvalue C(n+1, j) / [(n+1) C(n, k)] with multiplicity n+1-2j for
-    j = 0..k; the weighted sum telescopes to trace 1.
-    """
-    if bip.d != 2:
-        raise ValueError("maxmixed_pt_spectrum: closed form is only available for qubits")
-    n, k = bip.n, bip.k
-    denom = (n + 1) * math.comb(n, k)
-    entries, binom = [], 1
-    for j in range(k + 1):  # binom = C(n+1, j), by the exact recurrence
-        entries.append((Fraction(binom, denom), n + 1 - 2 * j))
-        binom = binom * (n + 1 - j) // (j + 1)
-    return Spectrum(tuple(entries))
 
 
 def _factor_ladders(n: int):

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact import Bipartition, _json_object
 from .combx import SqrtRational, dicke_split_coefficient, multinomial, print_limit_exceeded, symmetric_dimension
 
 __all__ = [
@@ -74,62 +75,6 @@ def _store_matrices(obj, mat: np.ndarray, sectors, space) -> None:
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
         raise ValueError(f"{who}: expected {dim}x{dim} for {space}, got {mat.shape}")
     _check_hermitian(mat, HERM_TOL, f"{who}: matrix is not Hermitian within {HERM_TOL}")
-
-
-def _json_object(text: str, who: str, keys: dict) -> dict:
-    """The JSON object text holds.  ValueError unless it is one, has every key of keys, and the
-    value of each key is of its type in keys: int (a bool fails), list, or None for any."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"{who}: expected a JSON object, got {type(data).__name__}")
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise ValueError(f"{who}: missing key(s) {', '.join(missing)}")
-    for key, kind in keys.items():
-        if kind and type(data[key]) is not kind:
-            what = "integer" if kind is int else "array"
-            raise ValueError(f"{who}: {key} must be a JSON {what}, got {json.dumps(data[key])}")
-    return data
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """A k | n-k split of n particles with local dimension d.
-
-    Only 1 <= k <= floor(n/2) is accepted: k = 0 carries no partial
-    transpose content and k > n/2 is redundant by symmetry.
-    """
-
-    n: int
-    k: int
-    d: int = 2
-
-    def __post_init__(self):
-        try:  # store Python ints, so numpy sizes print and key caches as plain ones do
-            for name in ("n", "k", "d"):
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-        except TypeError:
-            raise ValueError(f"Bipartition: n, k and d must be integers, got {self}") from None
-        if self.d < 2:
-            raise ValueError(f"Bipartition: local dimension must be >= 2, got {self.d}")
-        if self.n < 2:
-            raise ValueError(f"Bipartition: need at least 2 particles, got n={self.n}")
-        if not 1 <= self.k <= self.n // 2:
-            raise ValueError(
-                f"Bipartition: need 1 <= k <= floor(n/2) = {self.n // 2}, got k={self.k}"
-            )
-
-    @property
-    def dim_a(self) -> int:
-        return symmetric_dimension(self.k, self.d)
-
-    @property
-    def dim_b(self) -> int:
-        return symmetric_dimension(self.n - self.k, self.d)
-
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
 
 
 def dicke_labels(n: int, d: int) -> tuple:

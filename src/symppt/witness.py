@@ -11,13 +11,13 @@ rows are monotone in cos(n phi), so two phi columns hold its exact minimum.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
-from .symstate import SymmetricDensityMatrix, _json_object, ghz_state, mix_with_identity
+from . import _exact
+from .symstate import SymmetricDensityMatrix, ghz_state, mix_with_identity
 
 __all__ = [
     "Witness",
@@ -32,76 +32,13 @@ __all__ = [
     "load_witness_file",
 ]
 
-GRID_DEFAULT = (721, 360)
+# Defined without numpy in _exact; this module exports them as its own.
+GRID_DEFAULT, Witness, builtin_witness = _exact.GRID_DEFAULT, _exact.Witness, _exact.builtin_witness
+detection_threshold, load_witness_file = _exact.detection_threshold, _exact.load_witness_file
+witness_from_json, witness_to_json = _exact.witness_from_json, _exact.witness_to_json
 GRID_SIDE_CAP = 100_000
 GRID_AGREEMENT_TOL = 1e-6
 REFINE_TOL = 1e-8
-
-# Published coefficients, parsed verbatim from their decimal form.  The
-# diagonal runs over Dicke excitation 0..n and is palindromic; the corner
-# couples |D^(0)><D^(n)| + |D^(n)><D^(0)|.
-_BUILTIN_COEFFS = {
-    "W5": (("0.0366656", "-0.134595", "1", "1", "-0.134595", "0.0366656"), "-9.31947"),
-    "W7": (
-        ("0.00197514", "0.0643064", "-0.189017", "1", "1", "-0.189017", "0.0643064", "0.00197514"),
-        "-31.2405",
-    ),
-    "W9": (
-        (
-            "0.00235791",
-            "-0.013747",
-            "0.0621661",
-            "-0.1636915",
-            "1",
-            "1",
-            "-0.1636915",
-            "0.0621661",
-            "-0.013747",
-            "0.00235791",
-        ),
-        "-114.305",
-    ),
-}
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Real symmetric witness: palindromic diagonal plus anticorner coupling."""
-
-    name: str
-    diagonal: tuple
-    corner: float
-
-    def __post_init__(self):
-        diag = tuple(float(x) for x in self.diagonal)
-        object.__setattr__(self, "diagonal", diag)
-        object.__setattr__(self, "corner", float(self.corner))
-        if len(diag) < 2:
-            raise ValueError("Witness: diagonal needs at least 2 entries")
-        if not all(math.isfinite(x) for x in diag + (self.corner,)):
-            raise ValueError("Witness: diagonal and corner must be finite")
-        if diag != diag[::-1]:
-            raise ValueError("Witness: diagonal must be palindromic")
-
-    @property
-    def dim(self) -> int:
-        return len(self.diagonal)
-
-    @property
-    def n(self) -> int:
-        return self.dim - 1
-
-    def matrix(self) -> np.ndarray:
-        mat = np.diag(np.array(self.diagonal))
-        mat[0, -1] = mat[-1, 0] = self.corner
-        return mat
-
-
-def builtin_witness(name: str) -> Witness:
-    """One of the published witnesses W5, W7, W9."""
-    if name not in _BUILTIN_COEFFS:
-        raise ValueError(f"builtin_witness: unknown witness {name!r}, expected one of W5, W7, W9")
-    return Witness(name, *_BUILTIN_COEFFS[name])
 
 
 def ghz_witness_mixture(n: int, p) -> SymmetricDensityMatrix:
@@ -187,8 +124,9 @@ def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
     the palindromic diagonal makes the profile symmetric about pi/2, so
     theta is canonicalized to [0, pi/2].  A coarse theta scan is refined
     by golden section to 1e-8, and the W x H grid (each side at most
-    GRID_SIDE_CAP) double-checks the result to 1e-6 in O(W + H) memory: its
-    minimum lies in the two phi columns of least and greatest cos(n phi).
+    GRID_SIDE_CAP) double-checks the result to 1e-6 times the witness's scale
+    in O(W + H) memory: its minimum lies in the two phi columns of least and
+    greatest cos(n phi).
     """
     grid_w, grid_h = grid
     if grid_w < 3 or grid_h < 1:
@@ -213,59 +151,12 @@ def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
     # Rounding is monotone, so the row never decreases in x if s >= 0 and never increases if
     # s < 0: the columns of least and greatest x hold its minimum, and grid_min is bitwise exact.
     grid_min = float(_values(w, thetas, np.array([cos_nphi.min(), cos_nphi.max()])).min())
-    if abs(grid_min - val_best) > GRID_AGREEMENT_TOL:
+    # Relative to s = max(max |w_a|, 2 |corner| 2^-n, least normal double) >= |<W>| on product
+    # states, as f is a convex combination of the w_a and 0 <= g <= 2^-n.  s = 1 for W5, W7, W9.
+    tol = GRID_AGREEMENT_TOL * max(*map(abs, w.diagonal), 2 * abs(w.corner) * 2.0**-w.n, sys.float_info.min)
+    if abs(grid_min - val_best) > tol:
         raise RuntimeError(
             f"minimize_over_products: 2-D grid minimum {grid_min} and refined minimum "
-            f"{val_best} disagree beyond {GRID_AGREEMENT_TOL}"
+            f"{val_best} disagree beyond {tol:.3g}"
         )
     return float(val_best), (float(theta_best), phi_star)
-
-
-def detection_threshold(w: Witness, n: int) -> float:
-    """Largest p for which the witness detects the GHZ mixture as entangled.
-
-    Tr(rho(p) W) is affine in p, so the zero crossing has the closed form
-    p* = g / (g - t) with g = <GHZ|W|GHZ> = (w_0 + w_n)/2 + corner and
-    t = Tr(W)/(n+1).  For a valid witness (>= 0 on product states, so t >= 0) with
-    g < 0, p* lies in (0, 1] and rho(p) is detected exactly for p < p*; if p* also
-    exceeds the SAPPT threshold, [p_min, p*] is a certified family of entangled SAPPT states.
-    """
-    if w.dim != n + 1:
-        raise ValueError(f"detection_threshold: witness dim {w.dim} does not match n={n}")
-    t = sum(w.diagonal) / (n + 1)
-    g = (w.diagonal[0] + w.diagonal[-1]) / 2 + w.corner
-    denom = g - t
-    # Relative, as p* does not change when W is scaled.
-    if abs(denom) <= 1e-12 * max(abs(g), abs(t)):
-        raise ValueError("detection_threshold: degenerate denominator, expectation constant in p")
-    return g / denom
-
-
-def witness_to_json(w: Witness) -> str:
-    return json.dumps(
-        {"name": w.name, "dim": w.dim, "diagonal": list(w.diagonal), "corner": w.corner}
-    )
-
-
-def witness_from_json(text: str) -> Witness:
-    """Parse {"name", "dim", "diagonal", "corner"}: the diagonal an array of JSON numbers, the
-    corner a JSON number, dim a JSON integer.  Malformed input raises ValueError."""
-    data = _json_object(text, "witness_from_json", {"diagonal": list, "corner": None})
-    diag, corner = data["diagonal"], data["corner"]
-    bad = [x for x in diag + [corner] if type(x) not in (int, float)]  # bool, str and None fail
-    if bad:
-        raise ValueError(f"witness_from_json: coefficients must be JSON numbers, got {json.dumps(bad[0])}")
-    dim = data.get("dim", len(diag))
-    if type(dim) is not int:
-        raise ValueError(f"witness_from_json: dim must be a JSON integer, got {json.dumps(dim)}")
-    if dim != len(diag):
-        raise ValueError(f"witness_from_json: declared dim {dim} != diagonal length {len(diag)}")
-    try:
-        return Witness(str(data.get("name", "custom")), diag, corner)
-    except OverflowError as exc:  # an integer past double range
-        raise ValueError(f"witness_from_json: {exc}") from None
-
-
-def load_witness_file(path) -> Witness:
-    with open(path, encoding="utf-8") as fh:
-        return witness_from_json(fh.read())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -291,7 +292,8 @@ def dense_grid_min(w, grid) -> float:
 def minimize_over_products_dense(w, grid, tol: float):
     """minimize_over_products with the 2-D cross-check on the full W x H array:
     the same coarse scan, golden-section refinement, edge points and
-    agreement error at tolerance tol, evaluated through product_profile."""
+    agreement error at tolerance tol times the witness's scale, evaluated
+    through product_profile."""
     from symppt.witness import REFINE_TOL, _golden_min
 
     phi_star = 0.0 if w.corner <= 0 else math.pi / w.n
@@ -305,10 +307,13 @@ def minimize_over_products_dense(w, grid, tol: float):
         if val_edge < val_best:
             theta_best, val_best = theta_edge, val_edge
     grid_min = dense_grid_min(w, grid)
-    if abs(grid_min - val_best) > tol:
+    # tol scales with s = max(max |w_a|, 2 |corner| / 2^n), a bound on |<W>| over product states,
+    # floored at the least normal double
+    scale = max(max(abs(x) for x in w.diagonal), math.ldexp(2 * abs(w.corner), -w.n), sys.float_info.min)
+    if abs(grid_min - val_best) > tol * scale:
         raise RuntimeError(
             f"minimize_over_products: 2-D grid minimum {grid_min} and refined minimum "
-            f"{val_best} disagree beyond {tol}"
+            f"{val_best} disagree beyond {tol * scale:.3g}"
         )
     return float(val_best), (float(theta_best), phi_star)
 
@@ -316,7 +321,7 @@ def minimize_over_products_dense(w, grid, tol: float):
 def spectrum_entries_by_index(values) -> tuple:
     """Spectrum.from_eigenvalues grouped by an index loop over the sorted values:
     the route the np.split grouping must reproduce bit for bit."""
-    from symppt.ptrans import DEGENERACY_REL
+    from symppt._exact import DEGENERACY_REL
 
     vals = np.sort(np.asarray(values, dtype=float))
     noise = len(vals) * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)

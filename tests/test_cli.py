@@ -787,6 +787,21 @@ class TestWitnessCertification:
         huge.write_text(json.dumps(NONFINITE_WITNESS_FILES["1e300"]))
         assert run(capsys, ["witness", "--witness-file", str(huge), "--threshold"]) == (1, "", err)
 
+    @pytest.mark.parametrize("k", [-13, -6, 0, 6, 13])
+    def test_validation_does_not_depend_on_scale(self, capsys, tmp_path, k):
+        """The grid-agreement bound scales with W: W5 x 10^k validates and certifies as W5 does."""
+        w = builtin_witness("W5")
+        path = tmp_path / "w5.json"
+        path.write_text(json.dumps({"name": "W5", "diagonal": [c * 10.0**k for c in w.diagonal],
+                                    "corner": w.corner * 10.0**k}))
+        code, out, err = run(capsys, ["witness", "--witness-file", str(path)])
+        assert (code, err) == (0, "")
+        expected = run(capsys, ["witness", "W5"])[1].splitlines()
+        for prefix in ("detection_threshold: ", "certified_entangled_sappt_interval: "):
+            assert [line for line in out.splitlines() if line.startswith(prefix)] == [
+                line for line in expected if line.startswith(prefix)
+            ]
+
     @pytest.mark.parametrize("name", ["W5", "W7", "W9"])
     def test_builtin_witnesses_certify(self, capsys, name):
         code, out, err = run(capsys, ["witness", name, "--format", "json"])
@@ -885,6 +900,13 @@ class TestWitnessFileErrors:
         assert err.startswith("symppt: error: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+def test_json_syntax_error_names_the_reader(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("", encoding="utf-8")
+    err = "symppt: error: witness_from_json: Expecting value: line 1 column 1 (char 0)\n"
+    assert run(capsys, ["witness", "--witness-file", str(path), "--threshold"]) == (1, "", err)
 
 
 class TestParsing:

@@ -42,7 +42,7 @@ def test_public_surface():
     assert {name for module in MODULES for name in module.__all__} == PUBLIC
     assert len(PUBLIC) == 45
     exported = {
-        name for name, value in vars(symppt).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        name for name in dir(symppt)
+        if not name.startswith("_") and not inspect.ismodule(getattr(symppt, name))
     }
     assert exported == PUBLIC

@@ -694,6 +694,12 @@ BAD_STATE_JSON = {
 }
 
 
+def test_json_syntax_error_names_the_reader():
+    with pytest.raises(ValueError) as info:
+        state_from_json("")
+    assert str(info.value) == "state_from_json: Expecting value: line 1 column 1 (char 0)"
+
+
 @pytest.mark.parametrize("case", sorted(BAD_STATE_JSON))
 def test_malformed_state_json_raises_value_error(case):
     text, message = BAD_STATE_JSON[case]

@@ -6,7 +6,6 @@ Dicke-basis entanglement witnesses, with a CLI that reproduces the
 reference tables as CSV or JSON.
 """
 
-import importlib
 import importlib.util
 
 from .combx import *
@@ -14,20 +13,18 @@ from .combx import *
 __version__ = "0.1.0"
 
 
-def _modules() -> list:
-    return [importlib.import_module(f"{__name__}.{m}") for m in ("combx", "ptrans", "symstate", "witness")]
-
-
 def __getattr__(name: str):
     """PEP 562: __all__ and the names of ptrans, symstate and witness import them, and numpy, on first
     use.  A submodule's name falls through to the import system, which imports that module alone."""
+    lazy = name == "__all__" or (name.isidentifier() and name[0] != "_"
+                                 and not importlib.util.find_spec(f"{__name__}.{name}"))
+    modules = (importlib.import_module(f"{__name__}.{m}") for m in ("combx", "ptrans", "symstate", "witness"))
+    owner = {attr: module for module in (modules if lazy else ()) for attr in module.__all__}
     if name == "__all__":
-        return [attr for module in _modules() for attr in module.__all__]
-    if name.isidentifier() and name[0] != "_" and not importlib.util.find_spec(f"{__name__}.{name}"):
-        for module in _modules():
-            if name in module.__all__:
-                globals()[name] = value = getattr(module, name)
-                return value
+        return list(owner)
+    if name in owner:
+        globals()[name] = value = getattr(owner[name], name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

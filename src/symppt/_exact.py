@@ -92,7 +92,6 @@ class Spectrum:
         The reported value is the group mean.
         """
         import numpy as np
-
         vals = np.sort(np.asarray(values, dtype=float))
         noise = len(vals) * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)
         new_level = np.diff(vals) > DEGENERACY_REL * np.abs(vals[1:]) + noise
@@ -106,7 +105,6 @@ class Spectrum:
     def expanded(self):
         """All eigenvalues as a float numpy array, ascending, repeated by multiplicity."""
         import numpy as np
-
         return np.array([float(v) for v, m in self.entries for _ in range(m)])
 
 
@@ -168,7 +166,6 @@ class Witness:
 
     def matrix(self):
         import numpy as np
-
         mat = np.diag(np.array(self.diagonal))
         mat[0, -1] = mat[-1, 0] = self.corner
         return mat

@@ -21,8 +21,7 @@ from ._exact import (GRID_DEFAULT, Bipartition, Spectrum, builtin_witness, detec
                      load_witness_file, maxmixed_pt_spectrum)
 from .combx import print_limit_exceeded, sappt_threshold_qubits, symmetric_dimension
 
-# Bound by _numeric() on first numeric use (np is numpy): table1, spectrum --mode analytic
-# and witness --threshold never load numpy or these modules.
+# Bound by _numeric() on first numeric use: table1, spectrum --mode analytic and witness --threshold need none.
 _NUMERIC = {
     "ptrans": ("np", "DIM_CAP", "maxmixed_pt", "min_eigenvalue", "partial_transpose_a", "qudit_min_eig_check"),
     "symstate": ("BipartiteOperator", "embed_bipartite"),

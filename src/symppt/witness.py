@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 
 import numpy as np
 
@@ -123,10 +122,9 @@ def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
     is 0 for corner <= 0 and pi/n otherwise, reducing the search to theta;
     the palindromic diagonal makes the profile symmetric about pi/2, so
     theta is canonicalized to [0, pi/2].  A coarse theta scan is refined
-    by golden section to 1e-8, and the W x H grid (each side at most
-    GRID_SIDE_CAP) double-checks the result to 1e-6 times the witness's scale
-    in O(W + H) memory: its minimum lies in the two phi columns of least and
-    greatest cos(n phi).
+    by golden section to 1e-8, and the W x H grid (each side at most GRID_SIDE_CAP)
+    double-checks the result to 1e-6 times the witness's scale in O(W + H) memory:
+    its minimum lies in the two phi columns of least and greatest cos(n phi).
     """
     grid_w, grid_h = grid
     if grid_w < 3 or grid_h < 1:
@@ -151,9 +149,9 @@ def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
     # Rounding is monotone, so the row never decreases in x if s >= 0 and never increases if
     # s < 0: the columns of least and greatest x hold its minimum, and grid_min is bitwise exact.
     grid_min = float(_values(w, thetas, np.array([cos_nphi.min(), cos_nphi.max()])).min())
-    # Relative to s = max(max |w_a|, 2 |corner| 2^-n, least normal double) >= |<W>| on product
-    # states, as f is a convex combination of the w_a and 0 <= g <= 2^-n.  s = 1 for W5, W7, W9.
-    tol = GRID_AGREEMENT_TOL * max(*map(abs, w.diagonal), 2 * abs(w.corner) * 2.0**-w.n, sys.float_info.min)
+    # Relative to s = max(max |w_a|, 2 |corner| 2^-n, least normal double): on product states
+    # |<W>| <= max |w_a| + 2 |corner| 2^-n <= 2 s, as 0 <= g <= 2^-n.  s = 1 for W5, W7, W9.
+    tol = GRID_AGREEMENT_TOL * max(*map(abs, w.diagonal), 2 * abs(w.corner) * 2.0**-w.n, np.finfo(float).tiny)
     if abs(grid_min - val_best) > tol:
         raise RuntimeError(
             f"minimize_over_products: 2-D grid minimum {grid_min} and refined minimum "

@@ -307,8 +307,8 @@ def minimize_over_products_dense(w, grid, tol: float):
         if val_edge < val_best:
             theta_best, val_best = theta_edge, val_edge
     grid_min = dense_grid_min(w, grid)
-    # tol scales with s = max(max |w_a|, 2 |corner| / 2^n), a bound on |<W>| over product states,
-    # floored at the least normal double
+    # tol scales with s = max(max |w_a|, 2 |corner| / 2^n), floored at the least normal double:
+    # within a factor of 2 of a bound on |<W>| over product states, |<W>| <= max |w_a| + 2 |corner| / 2^n
     scale = max(max(abs(x) for x in w.diagonal), math.ldexp(2 * abs(w.corner), -w.n), sys.float_info.min)
     if abs(grid_min - val_best) > tol * scale:
         raise RuntimeError(

@@ -43,4 +43,3 @@ def test_run_once_is_a_fresh_cli_process(capsys):
 def test_summary():
     summary = load_tool().summary
     assert summary([5.0, 1.0, 4.0, 2.0, 3.0]) == (3.0, 2.0)
-    assert summary([0.25]) == (0.25, 0.0)

@@ -2,16 +2,16 @@
 
 Usage, from the root of a checkout:
 
-    python tools/oneshot.py PARENT_SRC CHANGE_SRC [--rounds N]
+    python tools/oneshot.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Every
 command runs as ``python -m symppt.cli ARGS`` in a fresh interpreter, with
 PYTHONPATH set to one tree, PYTHONDONTWRITEBYTECODE=1 and one BLAS thread, so
 the time includes interpreter start-up, every import and the command itself.
 A round runs each command once per tree, the two runs back to back, the tree
-that goes first alternating from round to round.  After N rounds (10 by
-default) the script prints, per command class, the median and interquartile
-range of each tree's wall seconds and the ratio of the medians.
+that goes first alternating from round to round.  After ROUNDS (10) rounds the
+script prints, per command class, the median and interquartile range of each
+tree's wall seconds and the ratio of the medians.
 
 The classes are ``exact`` (commands that need no numpy), ``spectrum numeric``,
 ``scan``, ``qudit-check`` and ``witness --validate`` (the witness report, which
@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+ROUNDS = 10
 COMMANDS = {
     "exact": [
         ["table1", "--nmax", "10"],
@@ -60,9 +61,7 @@ def run_once(src: str, argv: list[str]) -> tuple[float, int, str]:
 
 
 def summary(times: list[float]) -> tuple[float, float]:
-    """(median, interquartile range) of the times; the range is 0 for a single time."""
-    if len(times) < 2:
-        return times[0], 0.0
+    """(median, interquartile range) of the times."""
     q1, q2, q3 = statistics.quantiles(times, n=4, method="inclusive")
     return q2, q3 - q1
 
@@ -70,7 +69,6 @@ def summary(times: list[float]) -> tuple[float, float]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs=2, metavar="SRC", help="PARENT_SRC and CHANGE_SRC")
-    parser.add_argument("--rounds", type=int, default=10)
     args = parser.parse_args(argv)
     for src in args.trees:
         if (Path(src) / "symppt" / "__pycache__").exists():
@@ -78,7 +76,7 @@ def main(argv: list[str]) -> int:
             return 1
     times = {(cls, side): [] for cls in COMMANDS for side in (0, 1)}
     problems = set()
-    for i in range(args.rounds):
+    for i in range(ROUNDS):
         for cls, argvs in COMMANDS.items():
             for cmd in argvs:
                 outputs = set()
@@ -90,7 +88,7 @@ def main(argv: list[str]) -> int:
                         problems.add(f"exit {code} from {args.trees[side]}: {' '.join(cmd)}")
                 if len(outputs) > 1:
                     problems.add(f"stdout differs between the trees: {' '.join(cmd)}")
-    print(f"{args.rounds} rounds; wall seconds, median (IQR)")
+    print(f"{ROUNDS} rounds; wall seconds, median (IQR)")
     print(f"{'class':<20} {'parent':>18} {'change':>18} {'change/parent':>14}")
     for cls in COMMANDS:
         (pm, piqr), (cm, ciqr) = summary(times[cls, 0]), summary(times[cls, 1])

@@ -20,7 +20,7 @@ def _json_object(text: str, who: str, keys: dict) -> dict:
     of keys, and the value of each key is of its type in keys: int (a bool fails), list, or None for any."""
     try:
         data = json.loads(text)
-    except ValueError as exc:  # a syntax error, or an integer with more digits than Python reads
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, or nesting too deep
         raise ValueError(f"{who}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{who}: expected a JSON object, got {type(data).__name__}")
@@ -223,4 +223,7 @@ def witness_from_json(text: str) -> Witness:
 
 def load_witness_file(path) -> Witness:
     with open(path, encoding="utf-8") as fh:
-        return witness_from_json(fh.read())
+        try:
+            return witness_from_json(fh.read())
+        except UnicodeDecodeError as exc:  # raised by read(), before the reader could name itself
+            raise ValueError(f"witness_from_json: {exc}") from None

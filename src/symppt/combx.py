@@ -30,7 +30,7 @@ def binomial(n: int, r: int) -> int:
     """Binomial coefficient C(n, r) with out-of-range arguments mapped to 0.
 
     The zero convention (r < 0 or r > n) lets combinatorial sums truncate
-    themselves, which is how every summation in this package is written.
+    themselves: dicke_split_coefficient is zero where a numerator binomial is.
     Requires n >= 0.
     """
     if n < 0:

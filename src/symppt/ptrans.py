@@ -243,8 +243,7 @@ def mixture_min_eig_bound(psi: PureSymmetricState, p: float, bip: Bipartition) -
     if not 0 <= p <= 1:
         raise ValueError(f"mixture_min_eig_bound: p must lie in [0, 1], got {p}")
     gammas = schmidt_spectrum(psi, bip)
-    cross = math.sqrt(gammas[0] * gammas[1]) if len(gammas) > 1 else 0.0
-    return p / ((bip.n + 1) * math.comb(bip.n, bip.k)) - (1 - p) * cross
+    return p / ((bip.n + 1) * math.comb(bip.n, bip.k)) - (1 - p) * math.sqrt(gammas[0] * gammas[1])
 
 
 def ghz_corner_eigencheck(n: int, k: int, p: float) -> tuple[float, float]:

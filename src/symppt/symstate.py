@@ -77,6 +77,7 @@ def _store_matrices(obj, mat: np.ndarray, sectors, space) -> None:
     _check_hermitian(mat, HERM_TOL, f"{who}: matrix is not Hermitian within {HERM_TOL}")
 
 
+@functools.lru_cache(maxsize=None)
 def dicke_labels(n: int, d: int) -> tuple:
     """Canonical ordering of the symmetric-sector basis labels.
 
@@ -85,19 +86,13 @@ def dicke_labels(n: int, d: int) -> tuple:
     decreasing lexicographic order, which reduces to the qubit order when
     d = 2.
     """
-    return tuple(range(n + 1)) if d == 2 else _occupations(n, d)
-
-
-@functools.lru_cache(maxsize=None)
-def _occupations(n: int, d: int) -> tuple:
-    """The occupation tuples of dicke_labels(n, d), for qubits (n - alpha, alpha)."""
-    return tuple(map(tuple, _occupation_array(n, d).tolist()))
+    return tuple(range(n + 1)) if d == 2 else tuple(map(tuple, _occupation_array(n, d).tolist()))
 
 
 @functools.lru_cache(maxsize=None)
 def _occupation_array(n: int, d: int) -> np.ndarray:
-    """Read-only int64 array of _occupations(n, d), one label per row: the gaps between d - 1
-    bars among n + d - 1 slots, bar sets in reverse lexicographic order."""
+    """Read-only int64 array, one row per label of dicke_labels(n, d), for qubits (n - alpha, alpha):
+    the gaps between d - 1 bars among n + d - 1 slots, bar sets in reverse lexicographic order."""
     bars = np.array(list(itertools.combinations(range(n + d - 1), d - 1)), dtype=np.int64)[::-1]
     occupations = np.diff(bars, axis=1, prepend=-1, append=n + d - 1) - 1
     occupations.flags.writeable = False
@@ -216,8 +211,7 @@ def dicke_decomposition(bip: Bipartition, label) -> list:
             continue
         b = tuple(mi - ai for ai, mi in zip(a, m))
         num = multinomial(k, a) * multinomial(n - k, b)
-        if num:
-            out.append((a, b, SqrtRational(Fraction(num, denom))))
+        out.append((a, b, SqrtRational(Fraction(num, denom))))
     return out
 
 

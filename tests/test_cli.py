@@ -834,6 +834,11 @@ BAD_WITNESS_FILES = {
     "dim-null": '{"dim": null, "diagonal": [1, 0, 1], "corner": -1}',
     "missing-file": None,
     "directory": "",
+    "nested-too-deep": "[" * 100_000 + "]" * 100_000,
+    # 100 bytes led by an x86-64 ELF header: byte 24, 0xd0, opens a UTF-8 pair that byte 25 does not close.
+    "not-utf-8": b"\x7fELF\x02\x01\x01" + bytes(9) + b"\x03\x00\x3e\x00\x01\x00\x00\x00\xd0\x10" + bytes(74),
+    "utf-8-bom": '\ufeff{"diagonal": [1, 0, 1], "corner": -1}',
+    "utf-16": '{"diagonal": [1, 0, 1], "corner": -1}'.encode("utf-16"),
 }
 
 
@@ -890,7 +895,7 @@ class TestWitnessFileErrors:
         if case == "directory":
             path.mkdir()
         elif content is not None:
-            path.write_text(content, encoding="utf-8")
+            path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         argv = [command, "--witness-file", str(path)]
         if command == "scan":
             argv += ["--p-from", "0.5", "--p-to", "1"]
@@ -906,6 +911,19 @@ def test_json_syntax_error_names_the_reader(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("", encoding="utf-8")
     err = "symppt: error: witness_from_json: Expecting value: line 1 column 1 (char 0)\n"
+    assert run(capsys, ["witness", "--witness-file", str(path), "--threshold"]) == (1, "", err)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("nested-too-deep", "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    ("not-utf-8", "'utf-8' codec can't decode byte 0xd0 in position 24: invalid continuation byte"),
+    ("utf-16", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["nested-too-deep", "not-utf-8", "utf-16"])
+def test_unreadable_witness_file_names_the_reader(capsys, tmp_path, case, message):
+    content = BAD_WITNESS_FILES[case]
+    path = tmp_path / "w.json"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    err = f"symppt: error: witness_from_json: {message}\n"
     assert run(capsys, ["witness", "--witness-file", str(path), "--threshold"]) == (1, "", err)
 
 

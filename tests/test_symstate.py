@@ -34,7 +34,7 @@ from symppt import (
 )
 from symppt import symstate
 from symppt.combx import SqrtRational, multinomial
-from symppt.symstate import _occupations, split_coefficients
+from symppt.symstate import _occupation_array, split_coefficients
 
 from oracles import brute_split_overlaps, compositions, qubit_occupation, random_density, random_pure
 
@@ -81,14 +81,15 @@ class TestLabels:
     def test_occupations_equal_the_recursive_enumeration(self):
         for n in range(13):
             for d in range(2, 7):
-                assert _occupations(n, d) == tuple(compositions(n, d)), (n, d)
+                assert _occupation_array(n, d).tolist() == list(map(list, compositions(n, d))), (n, d)
 
     def test_labels_are_the_occupations_for_qudits_and_counts_for_qubits(self):
         for n in range(13):
             assert dicke_labels(n, 2) == tuple(range(n + 1))
-            assert _occupations(n, 2) == tuple((n - alpha, alpha) for alpha in range(n + 1))
+            assert _occupation_array(n, 2).tolist() == [[n - alpha, alpha] for alpha in range(n + 1)]
             for d in range(3, 7):
-                assert dicke_labels(n, d) is _occupations(n, d)
+                assert dicke_labels(n, d) == tuple(compositions(n, d))
+                assert dicke_labels(n, d) is dicke_labels(n, d)
 
     def test_cached_arrays_are_read_only(self):
         # Every later table reads these caches; an in-place write must not corrupt them.
@@ -691,6 +692,7 @@ BAD_STATE_JSON = {
                       r"norm inf deviates from 1"),
     "wrong_count": ('{"n": 2, "d": 2, "amplitudes": [[1, 0]]}', r"expected 3 amplitudes"),
     "negative_n": ('{"n": -1, "d": 2, "amplitudes": [[1, 0]]}', r"symmetric_dimension: invalid"),
+    "nested_too_deep": ("[" * 100_000 + "]" * 100_000, r"^state_from_json: maximum recursion depth exceeded "),
 }
 
 

@@ -88,11 +88,9 @@ def digests(src: str, argvs: list[list[str]]) -> list[str]:
 
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"cli_digest: symppt imported from {cli.__file__}, not from {src}")
-    # A tree from before cli._MEMOS has these two memos.
-    memos = getattr(cli, "_MEMOS", None) or (cli._numeric_spectrum, cli._product_min)
     out = []
     for argv in argvs:
-        for memo in memos:
+        for memo in cli._MEMOS:
             memo.cache_clear()
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

@@ -17,9 +17,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from ._exact import (GRID_DEFAULT, Bipartition, Spectrum, builtin_witness, detection_threshold,
-                     load_witness_file, maxmixed_pt_spectrum)
-from .combx import print_limit_exceeded, sappt_threshold_qubits, symmetric_dimension
+from .combx import (GRID_DEFAULT, Bipartition, Spectrum, builtin_witness, detection_threshold, load_witness_file,
+                    maxmixed_pt_spectrum, print_limit_exceeded, sappt_threshold_qubits, symmetric_dimension)
 
 # Bound by _numeric() on first numeric use: table1, spectrum --mode analytic and witness --threshold need none.
 _NUMERIC = {

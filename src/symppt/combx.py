@@ -1,13 +1,14 @@
-"""Exact combinatorics behind every closed-form quantity in the package.
+"""The numpy-free layer: exact combinatorics, and the types and readers the exact commands run on.
 
-All arithmetic here is integer or rational: binomials and multinomials,
-the coefficients of the bipartite Dicke expansion (kept as exact square
-roots of rationals), and the closed-form SAPPT threshold probabilities.
-Floats appear only in print_limit_exceeded's digit bounds and when a caller converts.
+Binomials, multinomials, the Dicke split coefficients (exact square roots of rationals) and the
+SAPPT thresholds are integer or rational.  Bipartition, Spectrum, Witness and the witness reader
+serve table1, spectrum --mode analytic and witness --threshold; symstate, ptrans and witness
+export them as their own, and the methods that return arrays import numpy.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import sys
@@ -144,3 +145,223 @@ def sappt_threshold_qudits(n: int, d: int) -> Fraction:
         raise ValueError(f"sappt_threshold_qudits: need n >= 2 and d >= 2, got (n={n}, d={d})")
     scale = symmetric_dimension(n, d) * math.comb(n, n // 2)
     return Fraction(scale, scale + 2)
+
+
+DEGENERACY_REL = 1e-6
+GRID_DEFAULT = (721, 360)
+
+
+def _json_object(text: str, who: str, keys: dict) -> dict:
+    """The JSON object text holds.  ValueError, led by who, unless it parses as one, has every key
+    of keys, and the value of each key is of its type in keys: int (a bool fails), list, or None for any."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, or nesting too deep
+        raise ValueError(f"{who}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{who}: expected a JSON object, got {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{who}: missing key(s) {', '.join(missing)}")
+    for key, kind in keys.items():
+        if kind and type(data[key]) is not kind:
+            what = "integer" if kind is int else "array"
+            raise ValueError(f"{who}: {key} must be a JSON {what}, got {json.dumps(data[key])}")
+    return data
+
+
+@dataclass(frozen=True)
+class Bipartition:
+    """A k | n-k split of n particles with local dimension d.
+
+    Only 1 <= k <= floor(n/2) is accepted: k = 0 carries no partial
+    transpose content and k > n/2 is redundant by symmetry.
+    """
+
+    n: int
+    k: int
+    d: int = 2
+
+    def __post_init__(self):
+        try:  # store Python ints, so numpy sizes print and key caches as plain ones do
+            for name in ("n", "k", "d"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise ValueError(f"Bipartition: n, k and d must be integers, got {self}") from None
+        if self.d < 2:
+            raise ValueError(f"Bipartition: local dimension must be >= 2, got {self.d}")
+        if self.n < 2:
+            raise ValueError(f"Bipartition: need at least 2 particles, got n={self.n}")
+        if not 1 <= self.k <= self.n // 2:
+            raise ValueError(f"Bipartition: need 1 <= k <= floor(n/2) = {self.n // 2}, got k={self.k}")
+
+    @property
+    def dim_a(self) -> int:
+        return symmetric_dimension(self.k, self.d)
+
+    @property
+    def dim_b(self) -> int:
+        return symmetric_dimension(self.n - self.k, self.d)
+
+    @property
+    def dim(self) -> int:
+        return self.dim_a * self.dim_b
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Multiset of (eigenvalue, multiplicity) pairs, sorted ascending.
+
+    Values are exact Fractions on the analytic route and floats on the
+    numeric route; multiplicities always sum to the operator dimension.
+    """
+
+    entries: tuple
+
+    @classmethod
+    def from_eigenvalues(cls, values) -> "Spectrum":
+        """Group a sorted array of numeric eigenvalues into degenerate levels.
+
+        A new level starts where the gap to the previous value exceeds
+        DEGENERACY_REL |v_i| + len(v) eps max|v|: a relative separation, plus
+        the rounding a symmetric eigensolver leaves on the whole spectrum.
+        The reported value is the group mean.
+        """
+        import numpy as np
+        vals = np.sort(np.asarray(values, dtype=float))
+        noise = len(vals) * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)
+        new_level = np.diff(vals) > DEGENERACY_REL * np.abs(vals[1:]) + noise
+        groups = np.split(vals, np.flatnonzero(new_level) + 1) if vals.size else []
+        return cls(tuple((float(group.mean()), len(group)) for group in groups))
+
+    @property
+    def dimension(self) -> int:
+        return sum(m for _, m in self.entries)
+
+    def expanded(self):
+        """All eigenvalues as a float numpy array, ascending, repeated by multiplicity."""
+        import numpy as np
+        return np.array([float(v) for v, m in self.entries for _ in range(m)])
+
+
+def maxmixed_pt_spectrum(bip: Bipartition) -> Spectrum:
+    """Exact spectrum of the transposed uniform state (qubits only).
+
+    Eigenvalue C(n+1, j) / [(n+1) C(n, k)] with multiplicity n+1-2j for
+    j = 0..k; the weighted sum telescopes to trace 1.
+    """
+    if bip.d != 2:
+        raise ValueError("maxmixed_pt_spectrum: closed form is only available for qubits")
+    n, k = bip.n, bip.k
+    denom = (n + 1) * math.comb(n, k)
+    entries, binom = [], 1
+    for j in range(k + 1):  # binom = C(n+1, j), by the exact recurrence
+        entries.append((Fraction(binom, denom), n + 1 - 2 * j))
+        binom = binom * (n + 1 - j) // (j + 1)
+    return Spectrum(tuple(entries))
+
+
+# Published coefficients, parsed verbatim from their decimal form.  The
+# diagonal runs over Dicke excitation 0..n and is palindromic; the corner
+# couples |D^(0)><D^(n)| + |D^(n)><D^(0)|.
+_BUILTIN_COEFFS = {
+    "W5": (("0.0366656", "-0.134595", "1", "1", "-0.134595", "0.0366656"), "-9.31947"),
+    "W7": (("0.00197514", "0.0643064", "-0.189017", "1", "1", "-0.189017", "0.0643064", "0.00197514"),
+           "-31.2405"),
+    "W9": (("0.00235791", "-0.013747", "0.0621661", "-0.1636915", "1",
+            "1", "-0.1636915", "0.0621661", "-0.013747", "0.00235791"), "-114.305"),
+}
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Real symmetric witness: palindromic diagonal plus anticorner coupling."""
+
+    name: str
+    diagonal: tuple
+    corner: float
+
+    def __post_init__(self):
+        diag = tuple(float(x) for x in self.diagonal)
+        object.__setattr__(self, "diagonal", diag)
+        object.__setattr__(self, "corner", float(self.corner))
+        if len(diag) < 2:
+            raise ValueError("Witness: diagonal needs at least 2 entries")
+        if not all(math.isfinite(x) for x in diag + (self.corner,)):
+            raise ValueError("Witness: diagonal and corner must be finite")
+        if diag != diag[::-1]:
+            raise ValueError("Witness: diagonal must be palindromic")
+
+    @property
+    def dim(self) -> int:
+        return len(self.diagonal)
+
+    @property
+    def n(self) -> int:
+        return self.dim - 1
+
+    def matrix(self):
+        import numpy as np
+        mat = np.diag(np.array(self.diagonal))
+        mat[0, -1] = mat[-1, 0] = self.corner
+        return mat
+
+
+def builtin_witness(name: str) -> Witness:
+    """One of the published witnesses W5, W7, W9."""
+    if name not in _BUILTIN_COEFFS:
+        raise ValueError(f"builtin_witness: unknown witness {name!r}, expected one of W5, W7, W9")
+    return Witness(name, *_BUILTIN_COEFFS[name])
+
+
+def detection_threshold(w: Witness, n: int) -> float:
+    """Largest p for which the witness detects the GHZ mixture as entangled.
+
+    Tr(rho(p) W) is affine in p, so the zero crossing has the closed form
+    p* = g / (g - t) with g = <GHZ|W|GHZ> = (w_0 + w_n)/2 + corner and
+    t = Tr(W)/(n+1).  For a valid witness (>= 0 on product states, so t >= 0) with
+    g < 0, p* lies in (0, 1] and rho(p) is detected exactly for p < p*; if p* also
+    exceeds the SAPPT threshold, [p_min, p*] is a certified family of entangled SAPPT states.
+    """
+    if w.dim != n + 1:
+        raise ValueError(f"detection_threshold: witness dim {w.dim} does not match n={n}")
+    t = sum(w.diagonal) / (n + 1)
+    g = (w.diagonal[0] + w.diagonal[-1]) / 2 + w.corner
+    denom = g - t
+    if not math.isfinite(denom):  # inf or nan once t, g or g - t leaves double range
+        raise ValueError(f"detection_threshold: witness {w.name}: <GHZ|W|GHZ> - Tr(W)/(n+1) leaves double range")
+    # Relative, as p* does not change when W is scaled.
+    if abs(denom) <= 1e-12 * max(abs(g), abs(t)):
+        raise ValueError("detection_threshold: degenerate denominator, expectation constant in p")
+    return g / denom
+
+
+def witness_to_json(w: Witness) -> str:
+    return json.dumps({"name": w.name, "dim": w.dim, "diagonal": list(w.diagonal), "corner": w.corner})
+
+
+def witness_from_json(text: str) -> Witness:
+    """Parse {"name", "dim", "diagonal", "corner"}: the diagonal an array of JSON numbers, the
+    corner a JSON number, dim a JSON integer.  Malformed input raises ValueError."""
+    data = _json_object(text, "witness_from_json", {"diagonal": list, "corner": None})
+    diag, corner = data["diagonal"], data["corner"]
+    bad = [x for x in diag + [corner] if type(x) not in (int, float)]  # bool, str and None fail
+    if bad:
+        raise ValueError(f"witness_from_json: coefficients must be JSON numbers, got {json.dumps(bad[0])}")
+    dim = data.get("dim", len(diag))
+    if type(dim) is not int:
+        raise ValueError(f"witness_from_json: dim must be a JSON integer, got {json.dumps(dim)}")
+    if dim != len(diag):
+        raise ValueError(f"witness_from_json: declared dim {dim} != diagonal length {len(diag)}")
+    try:
+        return Witness(str(data.get("name", "custom")), diag, corner)
+    except OverflowError as exc:  # an integer past double range
+        raise ValueError(f"witness_from_json: {exc}") from None
+
+
+def load_witness_file(path) -> Witness:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return witness_from_json(fh.read())
+        except UnicodeDecodeError as exc:  # raised by read(), before the reader could name itself
+            raise ValueError(f"witness_from_json: {exc}") from None

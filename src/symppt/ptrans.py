@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _exact
+from . import combx
 from .combx import symmetric_dimension
 from .symstate import (
     Bipartition,
@@ -55,8 +55,8 @@ __all__ = [
     "qudit_min_eig_check",
 ]
 
-# Defined without numpy in _exact; this module exports them as its own.
-Spectrum, maxmixed_pt_spectrum = _exact.Spectrum, _exact.maxmixed_pt_spectrum
+# Defined without numpy in combx; this module exports them as its own.
+Spectrum, maxmixed_pt_spectrum = combx.Spectrum, combx.maxmixed_pt_spectrum
 PT_HERM_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 DIM_CAP = 5000

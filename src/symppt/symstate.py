@@ -23,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import Bipartition, _json_object
-from .combx import SqrtRational, dicke_split_coefficient, multinomial, print_limit_exceeded, symmetric_dimension
+from .combx import (Bipartition, SqrtRational, _json_object, dicke_split_coefficient, multinomial,
+                    print_limit_exceeded, symmetric_dimension)
 
 __all__ = [
     "Bipartition",

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from . import _exact
+from . import combx
 from .symstate import SymmetricDensityMatrix, ghz_state, mix_with_identity
 
 __all__ = [
@@ -31,10 +31,10 @@ __all__ = [
     "load_witness_file",
 ]
 
-# Defined without numpy in _exact; this module exports them as its own.
-GRID_DEFAULT, Witness, builtin_witness = _exact.GRID_DEFAULT, _exact.Witness, _exact.builtin_witness
-detection_threshold, load_witness_file = _exact.detection_threshold, _exact.load_witness_file
-witness_from_json, witness_to_json = _exact.witness_from_json, _exact.witness_to_json
+# Defined without numpy in combx; this module exports them as its own.
+GRID_DEFAULT, Witness, builtin_witness = combx.GRID_DEFAULT, combx.Witness, combx.builtin_witness
+detection_threshold, load_witness_file = combx.detection_threshold, combx.load_witness_file
+witness_from_json, witness_to_json = combx.witness_from_json, combx.witness_to_json
 GRID_SIDE_CAP = 100_000
 GRID_AGREEMENT_TOL = 1e-6
 REFINE_TOL = 1e-8
@@ -64,8 +64,11 @@ def expectation_value(rho: SymmetricDensityMatrix, w: Witness):
     diagonal = np.array(w.diagonal)
     # One BLAS dot per matrix: a stacked matmul sums in another order and can change the last bit.
     rows = np.real(np.diagonal(mats, axis1=-2, axis2=-1)).reshape(-1, w.dim)
-    val = np.array([row @ diagonal for row in rows])
-    val = val + w.corner * (mats[..., 0, -1] + mats[..., -1, 0])
+    with np.errstate(all="ignore"):  # a sum past double range is refused below, with no warning
+        val = np.array([row @ diagonal for row in rows])
+        val = val + w.corner * (mats[..., 0, -1] + mats[..., -1, 0])
+    if not np.isfinite(val).all():
+        raise ValueError(f"witness {w.name}: expectation leaves double range")
     bad = np.imag(val)[np.abs(np.imag(val)) > 1e-12]
     if bad.size:
         raise RuntimeError(f"expectation_value: imaginary part {bad[0]} exceeds 1e-12")

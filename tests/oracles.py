@@ -321,7 +321,7 @@ def minimize_over_products_dense(w, grid, tol: float):
 def spectrum_entries_by_index(values) -> tuple:
     """Spectrum.from_eigenvalues grouped by an index loop over the sorted values:
     the route the np.split grouping must reproduce bit for bit."""
-    from symppt._exact import DEGENERACY_REL
+    from symppt.combx import DEGENERACY_REL
 
     vals = np.sort(np.asarray(values, dtype=float))
     noise = len(vals) * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)

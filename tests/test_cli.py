@@ -886,6 +886,30 @@ class TestNonFiniteWitnessFiles:
         assert err == f"symppt: error: witness {name}: product-state expectation leaves double range\n"
 
 
+# Witness files whose detection threshold or GHZ-mixture expectation leaves double range:
+# Tr W, <GHZ|W|GHZ> or the corner sum overflows to inf, and inf - inf is nan.
+THRESHOLD_OVERFLOW = "detection_threshold: witness custom: <GHZ|W|GHZ> - Tr(W)/(n+1) leaves double range"
+OVERFLOW_COMMANDS = {
+    "threshold": ({"diagonal": [1e308, 1e308], "corner": 0}, ["witness", "--threshold"], THRESHOLD_OVERFLOW),
+    "report": ({"diagonal": [1.7e308, 0, 1.7e308], "corner": 0.8e308}, ["witness", "--p", "0"], THRESHOLD_OVERFLOW),
+    "scan": ({"diagonal": [1.7e308, 0, 1.7e308], "corner": 1.7e308},
+             ["scan", "--p-from", "0", "--p-to", "0.1", "--steps", "2"],
+             "witness custom: expectation leaves double range"),
+}
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["default", "json"])
+@pytest.mark.parametrize("case", sorted(OVERFLOW_COMMANDS))
+def test_overflowing_witness_exits_1_with_one_error_line(capsys, tmp_path, case, fmt):
+    data, argv, message = OVERFLOW_COMMANDS[case]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(capsys, [argv[0], "--witness-file", str(path), *argv[1:], *fmt])
+    assert result == (1, "", f"symppt: error: {message}\n")
+
+
 class TestWitnessFileErrors:
     @pytest.mark.parametrize("command", ["witness", "scan"])
     @pytest.mark.parametrize("case", sorted(BAD_WITNESS_FILES))

@@ -52,7 +52,8 @@ def test_exact_commands_load_no_numeric_module(tmp_path):
         ["witness", "W9", "--threshold"],
         ["witness", "--witness-file", str(path), "--threshold", "--format", "json"],
     ]
-    assert fresh(argvs) == [[0] * len(argvs), [], None]
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'symppt')"
+    assert fresh(argvs, result=loaded) == [[0] * len(argvs), [], ["symppt", "symppt.cli", "symppt.combx"]]
 
 
 # Each command runs first in its interpreter, before `cli` holds any numeric name, so a

@@ -143,6 +143,16 @@ class TestExpectation:
                 expectation_value(rho, builtin_witness("W5"))
         assert str(info.value) == "expectation_value: state matrix has a non-finite entry"
 
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    def test_value_past_double_range_raises_with_warnings_as_errors(self, stack):
+        w = Witness("huge", (1.7e308, 0.0, 1.7e308), 1.7e308)
+        rho = ghz_witness_mixture(2, np.array([0.0, 0.05, 0.1]) if stack else 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                expectation_value(rho, w)
+        assert str(info.value) == "witness huge: expectation leaves double range"
+
 
 class TestProductExpectation:
     def test_w5_equator(self):
@@ -398,6 +408,17 @@ class TestDetectionThreshold:
         flat = Witness("flat", (1.0, 1.0, 1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             detection_threshold(flat, 3)
+
+    # Tr W overflows; Tr W and <GHZ|W|GHZ> overflow, and inf - inf is nan; both are finite but g - t is not.
+    @pytest.mark.parametrize("diagonal,corner", [
+        ((1e308, 1e308), 0.0), ((1.7e308, 0.0, 1.7e308), 0.8e308), ((0.0, -1.7e308, 0.0), 1.7e308),
+    ], ids=["trace", "both", "difference"])
+    def test_value_past_double_range(self, diagonal, corner):
+        with pytest.raises(ValueError) as info:
+            detection_threshold(Witness("huge", diagonal, corner), len(diagonal) - 1)
+        assert str(info.value) == (
+            "detection_threshold: witness huge: <GHZ|W|GHZ> - Tr(W)/(n+1) leaves double range"
+        )
 
 
 class TestWitnessJson:

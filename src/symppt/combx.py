@@ -353,8 +353,11 @@ def witness_from_json(text: str) -> Witness:
         raise ValueError(f"witness_from_json: dim must be a JSON integer, got {json.dumps(dim)}")
     if dim != len(diag):
         raise ValueError(f"witness_from_json: declared dim {dim} != diagonal length {len(diag)}")
+    name = str(data.get("name", "custom"))
+    if not name.isprintable():  # it leads one-line error messages
+        raise ValueError(f"witness_from_json: name must be printable, got {json.dumps(name)}")
     try:
-        return Witness(str(data.get("name", "custom")), diag, corner)
+        return Witness(name, diag, corner)
     except OverflowError as exc:  # an integer past double range
         raise ValueError(f"witness_from_json: {exc}") from None
 

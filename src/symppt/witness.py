@@ -10,7 +10,6 @@ rows are monotone in cos(n phi), so two phi columns hold its exact minimum.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -38,6 +37,7 @@ witness_from_json, witness_to_json = combx.witness_from_json, combx.witness_to_j
 GRID_SIDE_CAP = 100_000
 GRID_AGREEMENT_TOL = 1e-6
 REFINE_TOL = 1e-8
+GOLDEN_LOOKAHEAD = 4
 
 
 def ghz_witness_mixture(n: int, p) -> SymmetricDensityMatrix:
@@ -99,22 +99,38 @@ def product_state_expectation(w: Witness, theta: float, phi: float) -> float:
 
 
 def _golden_min(f, lo: float, hi: float, tol: float):
-    """Golden-section minimum of a unimodal-enough f on [lo, hi]."""
+    """Golden-section minimum of a unimodal-enough f on [lo, hi]; f maps an array of points to their
+    values.  A batch holds every point the next GOLDEN_LOOKAHEAD steps can reach (2 + 4 + 8 + 16) as a
+    heap: the step at node k takes point i = 2k if f1 <= f2, else 2k + 1, and goes to node i + 1.  The
+    steps visit the points of one call per step; a batch that raises is redone a visited point at a time."""
     ratio = (math.sqrt(5) - 1) / 2
     x1 = hi - ratio * (hi - lo)
     x2 = lo + ratio * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = f(np.array([x1, x2]))
     while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - ratio * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + ratio * (hi - lo)
-            f2 = f(x2)
+        nodes, points = [(lo, hi, x1, x2)], []
+        for k in range(2**GOLDEN_LOOKAHEAD - 1):
+            a, b, p1, p2 = nodes[k]
+            points += [p2 - ratio * (p2 - a), p1 + ratio * (b - p1)]
+            nodes += [(a, p2, points[-2], p1), (p1, b, p2, points[-1])]
+        try:
+            values = f(np.array(points))
+        except ValueError:  # perhaps only at a point no step visits
+            values = None
+        k = 0
+        for _ in range(GOLDEN_LOOKAHEAD):
+            if not hi - lo > tol:
+                break
+            left = f1 <= f2
+            i = 2 * k + (not left)
+            fx = f(np.array(points[i:i + 1]))[0] if values is None else values[i]
+            if left:
+                hi, x2, f2, x1, f1 = x2, x1, f1, points[i], fx
+            else:
+                lo, x1, f1, x2, f2 = x1, x2, f2, points[i], fx
+            k = i + 1
     x = (lo + hi) / 2
-    return x, f(x)
+    return x, f(np.array([x]))[0]
 
 
 def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
@@ -124,8 +140,8 @@ def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
     2 * corner * g(theta) * cos(n phi) with g >= 0, so the minimizing phi
     is 0 for corner <= 0 and pi/n otherwise, reducing the search to theta;
     the palindromic diagonal makes the profile symmetric about pi/2, so
-    theta is canonicalized to [0, pi/2].  A coarse theta scan is refined
-    by golden section to 1e-8, and the W x H grid (each side at most GRID_SIDE_CAP)
+    theta is canonicalized to [0, pi/2].  A coarse theta scan is refined by golden
+    section to 1e-8, in batches of points, and the W x H grid (each side at most GRID_SIDE_CAP)
     double-checks the result to 1e-6 times the witness's scale in O(W + H) memory:
     its minimum lies in the two phi columns of least and greatest cos(n phi).
     """
@@ -135,12 +151,12 @@ def minimize_over_products(w: Witness, grid: tuple[int, int] = GRID_DEFAULT):
     if max(grid) > GRID_SIDE_CAP:
         raise ValueError(f"minimize_over_products: grid {grid} exceeds {GRID_SIDE_CAP} per side")
     phi_star = 0.0 if w.corner <= 0 else math.pi / w.n
-    line = functools.partial(product_state_expectation, w, phi=phi_star)
+    cos_star = np.array([math.cos(w.n * phi_star)])
     half = np.linspace(0.0, math.pi / 2, max(grid_w // 2 + 1, 3))
-    profile = _values(w, half, np.array([math.cos(w.n * phi_star)]))[:, 0]
+    profile = _values(w, half, cos_star)[:, 0]
     i = int(np.argmin(profile))
     lo, hi = half[max(i - 1, 0)], half[min(i + 1, len(half) - 1)]
-    theta_best, val_best = _golden_min(line, lo, hi, REFINE_TOL)
+    theta_best, val_best = _golden_min(lambda t: _values(w, t, cos_star)[:, 0], lo, hi, REFINE_TOL)
     # the true minimum may sit on the boundary of the fold domain, the profile's ends at 0 and pi/2
     for end in (0, -1):
         if profile[end] < val_best:

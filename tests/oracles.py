@@ -5,7 +5,8 @@ come from the Pascal recurrence, bipartite Dicke coefficients from literal
 enumeration of computational-basis strings, the partial transpose from
 an explicit four-index shuffle, the alternate Vandermonde convolution
 from generalized binomials, and the qudit labels from a recursion on the
-first occupation.  The CLI's tables are checked against the
+first occupation.  The golden-section refinement is the sequential
+one, a call of its evaluator per step.  The CLI's tables are checked against the
 renderer it had before its direct emitter: typed cells converted to JSON
 values, then ``json.dumps(indent=2)``.
 """
@@ -289,12 +290,31 @@ def dense_grid_min(w, grid) -> float:
     return float((f[:, None] + 2 * w.corner * g[:, None] * np.cos(w.n * phis)[None, :]).min())
 
 
+def _golden_min(f, lo: float, hi: float, tol: float):
+    """Golden-section minimum of a unimodal-enough f on [lo, hi]."""
+    ratio = (math.sqrt(5) - 1) / 2
+    x1 = hi - ratio * (hi - lo)
+    x2 = lo + ratio * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = f(x2)
+    x = (lo + hi) / 2
+    return x, f(x)
+
+
 def minimize_over_products_dense(w, grid, tol: float):
     """minimize_over_products with the 2-D cross-check on the full W x H array:
     the same coarse scan, golden-section refinement, edge points and
     agreement error at tolerance tol times the witness's scale, evaluated
     through product_profile."""
-    from symppt.witness import REFINE_TOL, _golden_min
+    from symppt.witness import REFINE_TOL
 
     phi_star = 0.0 if w.corner <= 0 else math.pi / w.n
     half = np.linspace(0.0, math.pi / 2, max(grid[0] // 2 + 1, 3))

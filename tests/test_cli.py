@@ -910,6 +910,16 @@ def test_overflowing_witness_exits_1_with_one_error_line(capsys, tmp_path, case,
     assert result == (1, "", f"symppt: error: {message}\n")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["default", "json"])
+@pytest.mark.parametrize("argv", [["witness", "--validate"], ["witness"], ["scan", "--p-from", "0", "--p-to", "1"]],
+                         ids=["validate", "report", "scan"])
+def test_unprintable_witness_name_exits_1_with_one_error_line(capsys, tmp_path, argv, fmt):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"name": "a\nb", "diagonal": [1, -5, 1], "corner": 0}), encoding="utf-8")
+    result = run(capsys, [argv[0], "--witness-file", str(path), *argv[1:], *fmt])
+    assert result == (1, "", 'symppt: error: witness_from_json: name must be printable, got "a\\nb"\n')
+
+
 class TestWitnessFileErrors:
     @pytest.mark.parametrize("command", ["witness", "scan"])
     @pytest.mark.parametrize("case", sorted(BAD_WITNESS_FILES))

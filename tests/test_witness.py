@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -27,8 +28,9 @@ from symppt import (
     witness_from_json,
     witness_to_json,
 )
-from symppt.witness import GRID_AGREEMENT_TOL, GRID_SIDE_CAP
+from symppt.witness import GRID_AGREEMENT_TOL, GRID_SIDE_CAP, REFINE_TOL
 
+from oracles import _golden_min as golden_min_sequential
 from oracles import dense_grid_min, minimize_over_products_dense, product_value
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -236,17 +238,17 @@ class TestMinimizeOverProducts:
     def test_fold_edges_come_from_the_coarse_scan(self, monkeypatch):
         w, grid = builtin_witness("W9"), (721, 360)
         expected = minimize_over_products_dense(w, grid, GRID_AGREEMENT_TOL)
-        scalar, thetas = witness.product_state_expectation, []
+        golden, batches = witness._golden_min, []
 
-        def counted(w, theta, phi):
-            thetas.append(theta)
-            return scalar(w, theta, phi)
+        def recorded(f, lo, hi, tol):
+            return golden(lambda t: batches.append(t.copy()) or f(t), lo, hi, tol)
 
-        monkeypatch.setattr(witness, "product_state_expectation", counted)
+        monkeypatch.setattr(witness, "_golden_min", recorded)
         val, (theta, phi) = minimize_over_products(w, grid)
-        # 2 + 29 golden-section points to 1e-8 and the midpoint; the edges 0 and pi/2 come from the scan
-        assert len(thetas) == 32
-        assert not {0.0, math.pi / 2} & set(thetas)
+        # the first pair, 29 steps to 1e-8 in batches of 4 and the midpoint; the edges 0 and
+        # pi/2 come from the scan
+        assert [len(t) for t in batches] == [2] + [30] * 8 + [1]
+        assert not np.isin([0.0, math.pi / 2], np.concatenate(batches)).any()
         assert float_bits([val, theta, phi]) == float_bits([expected[0], *expected[1]])
 
     def test_all_builtins_strictly_positive(self):
@@ -306,6 +308,113 @@ class TestMinimizeOverProducts:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestGoldenMin:
+    """The batched golden section against the sequential one of tests/oracles.py, bit for
+    bit: the same visited points give the same minimum and value."""
+
+    @staticmethod
+    def check(f, lo, hi, tol=REFINE_TOL):
+        batched = witness._golden_min(lambda t: np.array([f(float(x)) for x in t]), lo, hi, tol)
+        assert float_bits(batched) == float_bits(golden_min_sequential(f, lo, hi, tol))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(a=st.floats(0.01, 100), c=st.floats(-2, 3), b=COEFF, tol=st.sampled_from([1e-8, 1e-12, 1e-15]))
+    def test_quadratics(self, a, c, b, tol):
+        self.check(lambda t: a * (t - c) * (t - c) + b, 0.0, 1.0, tol)
+
+    def test_flat_function_ties_at_every_step(self):
+        self.check(lambda t: 0.0, 0.0, math.pi / 2)
+        self.check(lambda t: 0.0, 0.3, 0.30000000001, 1e-15)
+
+    @pytest.mark.parametrize("steps", [1, 3, 10, 1000])
+    @pytest.mark.parametrize("shift", [0.1, 0.5, 0.77])
+    def test_step_functions(self, steps, shift):
+        self.check(lambda t: abs(math.floor((t - shift) * steps)), 0.0, 1.0)
+
+    def test_unvisited_points_that_raise_change_nothing(self):
+        # Every batch reaches past 0.9, where this f raises; the steps never go there.
+        def f(t):
+            if t > 0.9:
+                raise ValueError("f: past 0.9")
+            return (t - 0.2) * (t - 0.2)
+
+        def vector(t):
+            return np.array([f(float(x)) for x in t])
+
+        assert float_bits(witness._golden_min(vector, 0.0, 1.0, REFINE_TOL)) == float_bits(
+            golden_min_sequential(f, 0.0, 1.0, REFINE_TOL)
+        )
+        with pytest.raises(ValueError, match="past 0.9"):
+            witness._golden_min(vector, 0.95, 1.0, REFINE_TOL)
+
+
+def parent_route(w, grid):
+    """minimize_over_products with the refinement it had before batching: the sequential golden
+    section of tests/oracles.py over product_state_expectation, one point per call."""
+    phi_star = 0.0 if w.corner <= 0 else math.pi / w.n
+
+    def sequential(f, lo, hi, tol):
+        return golden_min_sequential(lambda t: product_state_expectation(w, t, phi_star), lo, hi, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "_golden_min", sequential)
+        return minimize_over_products(w, grid)
+
+
+def route_outcome(minimize, w, grid):
+    """The bits of (value, theta, phi), or the exception's type and message."""
+    try:
+        val, (theta, phi) = minimize(w, grid)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return float_bits([val, theta, phi])
+
+
+MAX = 1.7976931348623157e308
+EDGE = 1 - 3 * 2.0**-53
+# On n = 2 these are flat at about -MAX, so whether a point overflows hangs on its rounding.
+NEAR_MAX_WITNESSES = [
+    (Witness("edge", (-MAX * e, -MAX * e / 2, -MAX * e), -MAX * e * c), grid)
+    for e, c, grid in [(EDGE, 0.5, (11, 1)), (EDGE, 0.4999999999999999, (9, 1)), (1.0, 0.5, (3, 1)),
+                       (1 - 2.0**-53, 0.5, (5, 1)), (EDGE, 0.5, (721, 360))]
+]
+
+
+class TestBatchedRefinement:
+    """minimize_over_products against its route before batching, bit for bit: the result, or
+    the exception's type and message."""
+
+    @pytest.mark.parametrize("grid", [(721, 360), (1441, 720), (2881, 1440)])
+    @pytest.mark.parametrize("name", ["W5", "W7", "W9"])
+    def test_builtins(self, name, grid):
+        w = builtin_witness(name)
+        assert route_outcome(minimize_over_products, w, grid) == route_outcome(parent_route, w, grid)
+
+    def test_random_witnesses(self):
+        rng = np.random.default_rng(20240521)
+        kinds = set()
+        for i in range(240):
+            n = int(rng.integers(2, 41))
+            half = rng.uniform(-1, 2, n // 2 + 1)
+            diag = tuple(np.concatenate([half, half[: (n + 1) // 2][::-1]]))
+            corner = float(rng.uniform(-20, 20))
+            if i % 8 == 7:  # scaled to 1.7e308, so C(n, a) w_a leaves double range
+                top = max(map(abs, diag + (corner,)))
+                diag, corner = tuple(x / top * 1.7e308 for x in diag), corner / top * 1.7e308
+            w = Witness("random", diag, corner)
+            grid = [(721, 360), (3, 1), (40, 7), (1441, 720)][i % 4]
+            got = route_outcome(minimize_over_products, w, grid)
+            assert got == route_outcome(parent_route, w, grid), (w, grid)
+            kinds.add((w.corner > 0, got[0] if isinstance(got, tuple) else float))
+        # both corner signs, and every outcome: a value, a failed grid cross-check, an overflow
+        assert kinds >= {(s, k) for s in (False, True) for k in (float, RuntimeError, ValueError)}
+
+    @pytest.mark.parametrize("case", range(len(NEAR_MAX_WITNESSES)))
+    def test_near_double_range(self, case):
+        w, grid = NEAR_MAX_WITNESSES[case]
+        assert route_outcome(minimize_over_products, w, grid) == route_outcome(parent_route, w, grid)
 
 
 def outcome(minimize, *args):
@@ -445,9 +554,23 @@ class TestWitnessJson:
     def test_round_trip_is_bitwise(self, name, half, middle, corner):
         diagonal = half + ([] if middle is None else [middle]) + half[::-1]
         w = Witness(name, tuple(diagonal), corner)
+        if not name.isprintable():
+            message = f"name must be printable, got {re.escape(json.dumps(name))}$"
+            with pytest.raises(ValueError, match=message):
+                witness_from_json(witness_to_json(w))
+            return
         again = witness_from_json(witness_to_json(w))
         assert again.name == w.name
         assert float_bits(again.diagonal + (again.corner,)) == float_bits(w.diagonal + (w.corner,))
+
+    @pytest.mark.parametrize("name", ["a\nb", "tab\there", "\x00", "line\u2028sep", "\x1b[31m"])
+    def test_name_must_be_printable(self, name):
+        blob = json.dumps({"name": name, "diagonal": [1, -5, 1], "corner": 0})
+        with pytest.raises(ValueError) as err:
+            witness_from_json(blob)
+        assert str(err.value) == f"witness_from_json: name must be printable, got {json.dumps(name)}"
+        assert len(str(err.value).splitlines()) == 1
+        assert witness_from_json(blob.replace(json.dumps(name), '"caf\\u00e9 W"')).name == "caf\u00e9 W"
 
     def test_file_loading(self, tmp_path):
         path = tmp_path / "w.json"

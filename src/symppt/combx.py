@@ -2,8 +2,8 @@
 
 Binomials, multinomials, the Dicke split coefficients (exact square roots of rationals) and the
 SAPPT thresholds are integer or rational.  Bipartition, Spectrum, Witness and the witness reader
-serve table1, spectrum --mode analytic and witness --threshold; symstate, ptrans and witness
-export them as their own, and the methods that return arrays import numpy.
+serve table1, spectrum --mode analytic and witness --threshold; the methods that take or return
+arrays import numpy.
 """
 
 from __future__ import annotations
@@ -24,6 +24,15 @@ __all__ = [
     "dicke_split_coefficient",
     "sappt_threshold_qubits",
     "sappt_threshold_qudits",
+    "Bipartition",
+    "Spectrum",
+    "maxmixed_pt_spectrum",
+    "Witness",
+    "builtin_witness",
+    "detection_threshold",
+    "witness_to_json",
+    "witness_from_json",
+    "load_witness_file",
 ]
 
 
@@ -341,8 +350,8 @@ def witness_to_json(w: Witness) -> str:
 
 
 def witness_from_json(text: str) -> Witness:
-    """Parse {"name", "dim", "diagonal", "corner"}: the diagonal an array of JSON numbers, the
-    corner a JSON number, dim a JSON integer.  Malformed input raises ValueError."""
+    """Parse {"name", "dim", "diagonal", "corner"}: the diagonal an array of JSON numbers, the corner
+    a JSON number, dim a JSON integer, name a printable string.  Malformed input raises ValueError."""
     data = _json_object(text, "witness_from_json", {"diagonal": list, "corner": None})
     diag, corner = data["diagonal"], data["corner"]
     bad = [x for x in diag + [corner] if type(x) not in (int, float)]  # bool, str and None fail
@@ -353,7 +362,9 @@ def witness_from_json(text: str) -> Witness:
         raise ValueError(f"witness_from_json: dim must be a JSON integer, got {json.dumps(dim)}")
     if dim != len(diag):
         raise ValueError(f"witness_from_json: declared dim {dim} != diagonal length {len(diag)}")
-    name = str(data.get("name", "custom"))
+    name = data.get("name", "custom")
+    if type(name) is not str:
+        raise ValueError(f"witness_from_json: name must be a JSON string, got {json.dumps(name)}")
     if not name.isprintable():  # it leads one-line error messages
         raise ValueError(f"witness_from_json: name must be printable, got {json.dumps(name)}")
     try:

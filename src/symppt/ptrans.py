@@ -23,9 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import combx
-from .combx import symmetric_dimension
+from .combx import Bipartition, symmetric_dimension
 from .symstate import (
-    Bipartition,
     BipartiteOperator,
     PureSymmetricState,
     _check_hermitian,
@@ -40,13 +39,11 @@ from .symstate import (
 )
 
 __all__ = [
-    "Spectrum",
     "LadderOperators",
     "partial_transpose_a",
     "min_eigenvalue",
     "maxmixed_pt",
     "maxmixed_pt_blocks",
-    "maxmixed_pt_spectrum",
     "ladder_operators",
     "maxmixed_pt_eigenbasis",
     "schmidt_spectrum",
@@ -55,8 +52,8 @@ __all__ = [
     "qudit_min_eig_check",
 ]
 
-# Defined without numpy in combx; this module exports them as its own.
-Spectrum, maxmixed_pt_spectrum = combx.Spectrum, combx.maxmixed_pt_spectrum
+# Unused here; perfbench/tracing.py install patches ptrans.Spectrum.from_eigenvalues.
+Spectrum = combx.Spectrum
 PT_HERM_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 DIM_CAP = 5000

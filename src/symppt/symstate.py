@@ -27,7 +27,6 @@ from .combx import (Bipartition, SqrtRational, _json_object, dicke_split_coeffic
                     print_limit_exceeded, symmetric_dimension)
 
 __all__ = [
-    "Bipartition",
     "PureSymmetricState",
     "SymmetricDensityMatrix",
     "BipartiteOperator",

@@ -14,26 +14,16 @@ import math
 
 import numpy as np
 
-from . import combx
+from .combx import GRID_DEFAULT, Witness
 from .symstate import SymmetricDensityMatrix, ghz_state, mix_with_identity
 
 __all__ = [
-    "Witness",
-    "builtin_witness",
     "ghz_witness_mixture",
     "expectation_value",
     "product_state_expectation",
     "minimize_over_products",
-    "detection_threshold",
-    "witness_to_json",
-    "witness_from_json",
-    "load_witness_file",
 ]
 
-# Defined without numpy in combx; this module exports them as its own.
-GRID_DEFAULT, Witness, builtin_witness = combx.GRID_DEFAULT, combx.Witness, combx.builtin_witness
-detection_threshold, load_witness_file = combx.detection_threshold, combx.load_witness_file
-witness_from_json, witness_to_json = combx.witness_from_json, combx.witness_to_json
 GRID_SIDE_CAP = 100_000
 GRID_AGREEMENT_TOL = 1e-6
 REFINE_TOL = 1e-8
@@ -102,7 +92,8 @@ def _golden_min(f, lo: float, hi: float, tol: float):
     """Golden-section minimum of a unimodal-enough f on [lo, hi]; f maps an array of points to their
     values.  A batch holds every point the next GOLDEN_LOOKAHEAD steps can reach (2 + 4 + 8 + 16) as a
     heap: the step at node k takes point i = 2k if f1 <= f2, else 2k + 1, and goes to node i + 1.  The
-    steps visit the points of one call per step; a batch that raises is redone a visited point at a time."""
+    steps visit the points of one call per step; a batch that raises is redone a visited point at a time.
+    tol must exceed the float spacing of [lo, hi], or the interval stops shrinking and the loop never ends."""
     ratio = (math.sqrt(5) - 1) / 2
     x1 = hi - ratio * (hi - lo)
     x2 = lo + ratio * (hi - lo)

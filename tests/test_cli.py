@@ -920,6 +920,19 @@ def test_unprintable_witness_name_exits_1_with_one_error_line(capsys, tmp_path, 
     assert result == (1, "", 'symppt: error: witness_from_json: name must be printable, got "a\\nb"\n')
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["default", "json"])
+@pytest.mark.parametrize("argv", [["witness", "--validate"], ["witness"], ["witness", "--threshold"],
+                                  ["scan", "--p-from", "0", "--p-to", "1"]],
+                         ids=["validate", "report", "threshold", "scan"])
+@pytest.mark.parametrize("name", ["null", "5", "true", '["a"]', '{"a": 1}'],
+                         ids=["null", "number", "bool", "array", "object"])
+def test_witness_name_of_another_json_type_exits_1_with_one_error_line(capsys, tmp_path, name, argv, fmt):
+    path = tmp_path / "w.json"
+    path.write_text(f'{{"name": {name}, "diagonal": [1, -5, 1], "corner": 0}}', encoding="utf-8")
+    result = run(capsys, [argv[0], "--witness-file", str(path), *argv[1:], *fmt])
+    assert result == (1, "", f"symppt: error: witness_from_json: name must be a JSON string, got {name}\n")
+
+
 class TestWitnessFileErrors:
     @pytest.mark.parametrize("command", ["witness", "scan"])
     @pytest.mark.parametrize("case", sorted(BAD_WITNESS_FILES))

@@ -41,6 +41,20 @@ def test_import_loads_no_numeric_module():
     assert fresh([]) == [[], [], None]
 
 
+# combx.__all__: the exact combinatorics, and the types and readers the exact commands run on.
+EXACT_NAMES = sorted([
+    "SqrtRational", "binomial", "dicke_split_coefficient", "multinomial", "sappt_threshold_qubits",
+    "sappt_threshold_qudits", "symmetric_dimension", "Bipartition", "Spectrum", "maxmixed_pt_spectrum",
+    "Witness", "builtin_witness", "detection_threshold", "load_witness_file", "witness_from_json",
+    "witness_to_json",
+])
+
+
+def test_exact_names_load_no_numeric_module():
+    setup = f"import symppt\nfor name in {EXACT_NAMES!r}:\n    getattr(symppt, name)"
+    assert fresh([], setup, "sorted(symppt.combx.__all__)") == [[], [], EXACT_NAMES]
+
+
 def test_exact_commands_load_no_numeric_module(tmp_path):
     path = tmp_path / "w9.json"
     path.write_text(json.dumps({"name": "w9", "diagonal": [1, -0.1] + [0.5] * 6 + [-0.1, 1], "corner": -9}))

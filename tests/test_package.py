@@ -11,19 +11,19 @@ PUBLIC = {
     # combx
     "SqrtRational", "binomial", "dicke_split_coefficient", "multinomial",
     "sappt_threshold_qubits", "sappt_threshold_qudits", "symmetric_dimension",
+    "Bipartition", "Spectrum", "maxmixed_pt_spectrum", "Witness", "builtin_witness",
+    "detection_threshold", "load_witness_file", "witness_from_json", "witness_to_json",
     # ptrans
-    "LadderOperators", "Spectrum", "ghz_corner_eigencheck", "ladder_operators", "maxmixed_pt",
-    "maxmixed_pt_blocks", "maxmixed_pt_eigenbasis", "maxmixed_pt_spectrum", "min_eigenvalue",
+    "LadderOperators", "ghz_corner_eigencheck", "ladder_operators", "maxmixed_pt",
+    "maxmixed_pt_blocks", "maxmixed_pt_eigenbasis", "min_eigenvalue",
     "mixture_min_eig_bound", "partial_transpose_a", "qudit_min_eig_check", "schmidt_spectrum",
     # symstate
-    "Bipartition", "BipartiteOperator", "PureSymmetricState", "SymmetricDensityMatrix",
+    "BipartiteOperator", "PureSymmetricState", "SymmetricDensityMatrix",
     "coherent_state", "dicke_decomposition", "dicke_labels", "embed_bipartite", "embed_pure",
     "embedding_matrix", "ghz_state", "mix_with_identity", "split_coefficients",
     "state_from_json", "state_to_json",
     # witness
-    "Witness", "builtin_witness", "detection_threshold", "expectation_value",
-    "ghz_witness_mixture", "load_witness_file", "minimize_over_products",
-    "product_state_expectation", "witness_from_json", "witness_to_json",
+    "expectation_value", "ghz_witness_mixture", "minimize_over_products", "product_state_expectation",
 }
 
 

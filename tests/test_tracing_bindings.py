@@ -24,3 +24,10 @@ def load_bindings():
 def test_binding_resolves(module, name, layer):
     imported = importlib.import_module(f"symppt.{module}")
     assert callable(getattr(imported, name)), f"symppt.{module}.{name}"
+
+
+def test_tracer_finds_the_spectrum_class_in_ptrans():
+    """install() patches ptrans.Spectrum.from_eigenvalues, a name outside BINDINGS and every __all__."""
+    from symppt import combx, ptrans
+
+    assert ptrans.Spectrum is combx.Spectrum

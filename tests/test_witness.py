@@ -572,6 +572,15 @@ class TestWitnessJson:
         assert len(str(err.value).splitlines()) == 1
         assert witness_from_json(blob.replace(json.dumps(name), '"caf\\u00e9 W"')).name == "caf\u00e9 W"
 
+    @pytest.mark.parametrize("value", [None, 5, True, ["a"], {"a": 1}],
+                             ids=["null", "number", "bool", "array", "object"])
+    def test_name_must_be_a_json_string(self, value):
+        blob = json.dumps({"name": value, "diagonal": [1, -5, 1], "corner": 0})
+        with pytest.raises(ValueError) as err:
+            witness_from_json(blob)
+        assert str(err.value) == f"witness_from_json: name must be a JSON string, got {json.dumps(value)}"
+        assert witness_from_json(json.dumps({"diagonal": [1, -5, 1], "corner": 0})).name == "custom"
+
     def test_file_loading(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text(witness_to_json(builtin_witness("W9")), encoding="utf-8")

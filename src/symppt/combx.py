@@ -234,10 +234,13 @@ class Spectrum:
         A new level starts where the gap to the previous value exceeds
         DEGENERACY_REL |v_i| + len(v) eps max|v|: a relative separation, plus
         the rounding a symmetric eigensolver leaves on the whole spectrum.
-        The reported value is the group mean.
+        The reported value is the group mean.  A non-finite value is refused.
         """
         import numpy as np
         vals = np.sort(np.asarray(values, dtype=float))
+        bad = vals[~np.isfinite(vals)]
+        if bad.size:
+            raise ValueError(f"Spectrum.from_eigenvalues: non-finite eigenvalue {bad[0]}")
         noise = len(vals) * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)
         new_level = np.diff(vals) > DEGENERACY_REL * np.abs(vals[1:]) + noise
         groups = np.split(vals, np.flatnonzero(new_level) + 1) if vals.size else []

@@ -10,8 +10,9 @@ it: the weight blocks, built from the float split coefficients, with the
 dense matrix as their scatter.  It also provides Schmidt data of pure
 states and the qudit minimum-eigenvalue check.
 The blocks come as one stack per block size, built one size at a time after
-one stable sort of the pairs by weight; the qudit check runs one eigvalsh
-per stack.  All stacks hold at most dim * (largest block) floats, 2.8 MB.
+two stable sorts of the pairs, by weight and then by block size, so that each
+size's blocks are one contiguous run; the qudit check runs one eigvalsh per
+stack.  All stacks hold at most dim * (largest block) floats, 2.8 MB.
 """
 
 from __future__ import annotations
@@ -143,25 +144,32 @@ def maxmixed_pt_blocks(bip: Bipartition):
 def _weight_stacks(bip: Bipartition):
     """maxmixed_pt_blocks as (members, stack) per block size, built one size at a
     time as they are consumed: members holds one block's pair indices per row, and
-    stack the (count, size, size) blocks, bitwise symmetric since c c' == c' c."""
+    stack the (count, size, size) blocks, bitwise symmetric since c c' == c' c.
+    The pairs are sorted stably by weight key, then by the size of their block, so
+    a size's members are one slice of that order, in weight order, each row ascending."""
     if bip.dim > DIM_CAP:
         raise ValueError(f"maxmixed_pt_blocks: bipartite dimension {bip.dim} exceeds cap {DIM_CAP}")
     coeffs = split_coefficients(bip).ravel()
     keys = (_label_keys(bip, bip.k)[:, None] - _label_keys(bip, bip.n - bip.k)).ravel()
     order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.r_[True, keys[order[1:]] != keys[order[:-1]]])
-    sizes = np.diff(np.r_[starts, bip.dim])
-    dim_sector = symmetric_dimension(bip.n, bip.d)
+    keys = keys[order]
+    edges = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [bip.dim]))
+    sizes = np.diff(edges)
+    order = order[np.argsort(np.repeat(sizes, sizes), kind="stable")]
+    counts = np.bincount(sizes)
+    size_list = np.flatnonzero(counts)
+    ends = np.cumsum(counts[size_list] * size_list).tolist()
+    dim_b, dim_sector = bip.dim_b, symmetric_dimension(bip.n, bip.d)
 
-    def stack(size):
-        members = order[starts[sizes == size][:, None] + np.arange(size)]
-        ib = members % bip.dim_b
+    def stack(size, offset, end):
+        members = order[offset:end].reshape(-1, size)
+        ib = members % dim_b
         crossed = coeffs[(members - ib)[:, None, :] + ib[:, :, None]]  # c(a_s, b_r) at [r, s]
         blocks = crossed * crossed.swapaxes(-1, -2)
         blocks /= dim_sector
         return members, blocks
 
-    return map(stack, sorted(set(sizes.tolist())))
+    return map(stack, size_list.tolist(), [0] + ends[:-1], ends)
 
 
 def _factor_ladders(n: int):
@@ -276,7 +284,7 @@ def qudit_min_eig_check(n: int, d: int, k: int) -> tuple[float, Fraction]:
     best = None
     for _, stack in _weight_stacks(bip):
         w = np.linalg.eigvalsh(stack)[:, 0]
-        i = int(np.argmin(w))
+        i = int(w.argmin())
         if best is None or w[i] < best:
             best, best_block = float(w[i]), stack[i]
     # eigh only feeds the residual check; reporting its value changes printed digits on some cuts.

@@ -85,6 +85,8 @@ def dicke_labels(n: int, d: int) -> tuple:
     decreasing lexicographic order, which reduces to the qubit order when
     d = 2.
     """
+    if n < 0 or d < 1:
+        raise ValueError(f"dicke_labels: invalid (n={n}, d={d})")
     return tuple(range(n + 1)) if d == 2 else tuple(map(tuple, _occupation_array(n, d).tolist()))
 
 

@@ -34,6 +34,7 @@ from symppt import (
 from symppt.ptrans import DIM_CAP, _weight_stacks
 
 from oracles import (
+    compositions,
     ladder_lower_reference,
     min_eig_per_block,
     pt_shuffle,
@@ -41,6 +42,7 @@ from oracles import (
     scatter_blocks,
     spectrum_entries_by_index,
     tilted_eigh,
+    weight_blocks_per_pair,
 )
 
 
@@ -276,6 +278,26 @@ def qudit_cuts():
 class TestWeightStacks:
     """The size-stacked assembly against the per-pair, per-block oracle."""
 
+    def test_blocks_bitwise_equal_to_per_pair_oracle_in_size_then_weight_order(self):
+        # (2, 1, 70) has object-dtype label keys past int64; d = 5, 6 lie past qudit-check's range.
+        cuts = [(n, k, d) for n, d, k in qudit_cuts()] + [(2, 1, 70), (4, 2, 5), (6, 3, 5), (3, 1, 6), (5, 2, 6)]
+        for n, k, d in cuts:
+            bip = Bipartition(n, k, d)
+            want = dict(weight_blocks_per_pair(bip))
+            got = maxmixed_pt_blocks(bip)
+            assert sorted(idx for idx, _ in got) == sorted(want), (n, k, d)
+            for idx, block in got:
+                assert (block.shape, block.tobytes()) == (want[idx].shape, want[idx].tobytes()), (n, k, d)
+            # Sizes nondecreasing, and within a size the weight keys of _label_keys ascending: the
+            # label difference a - b of occupation tuples as base-(n + 1) digits.
+            labels_a, labels_b = list(compositions(k, d)), list(compositions(n - k, d))
+            keys = []
+            for idx, _ in got:
+                a, b = divmod(idx[0], bip.dim_b)
+                digits = enumerate(zip(labels_a[a], labels_b[b]))
+                keys.append((len(idx), sum((x - y) * (n + 1) ** j for j, (x, y) in digits)))
+            assert keys == sorted(keys), (n, k, d)
+
     def test_qudit_minimum_bitwise_equal_to_per_block_oracle(self):
         cuts = qudit_cuts()
         assert len(cuts) == 150
@@ -360,6 +382,13 @@ class TestSpectrumGrouping:
     def test_empty_input(self):
         assert Spectrum.from_eigenvalues([]).entries == ()
         assert Spectrum.from_eigenvalues(np.zeros(0)).entries == ()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_refused(self, bad):
+        # A nan would make the degeneracy noise nan, and so the whole input one level.
+        for values in ([bad, 1.0], [1.0, 2.0, bad], [bad]):
+            with pytest.raises(ValueError, match=rf"^Spectrum.from_eigenvalues: non-finite eigenvalue {bad}$"):
+                Spectrum.from_eigenvalues(values)
 
     # Values drawn from a few levels, each nudged by a few ulps or by about the
     # relative degeneracy gap, so ties, degenerate runs and near-splits all occur.

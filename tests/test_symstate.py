@@ -91,6 +91,15 @@ class TestLabels:
                 assert dicke_labels(n, d) == tuple(compositions(n, d))
                 assert dicke_labels(n, d) is dicke_labels(n, d)
 
+    def test_invalid_sizes_refused(self):
+        for n, d in [(-1, 2), (-1, 3), (0, 0), (3, 0), (3, -1)]:
+            with pytest.raises(ValueError, match=rf"^dicke_labels: invalid \(n={n}, d={d}\)$"):
+                dicke_labels(n, d)
+
+    def test_edge_sizes_keep_their_labels(self):
+        assert dicke_labels(3, 1) == ((3,),)
+        assert dicke_labels(0, 2) == (0,)
+
     def test_cached_arrays_are_read_only(self):
         # Every later table reads these caches; an in-place write must not corrupt them.
         for cached in (symstate._occupation_array(4, 3), symstate._binomials(6), symstate._binomials(60)):

@@ -173,27 +173,21 @@ def cmd_table1(args) -> Table:
 
 
 @functools.cache
+def _once(f, *args):
+    """f(*args), once per function and arguments per process; a failure is not kept.
+    Callers pass cli's own binding of f, so a patched binding is both what runs and the key."""
+    return f(*args)
+
+
+# Every per-process memo; whoever needs them empty clears this tuple, so none is missed.
+_MEMOS = (_once,)
+
+
 def _numeric_spectrum(bip: Bipartition) -> Spectrum:
-    """Grouped eigenvalues of the dense transposed uniform state, once per cut per process.
-    Only the Spectrum (at most k + 1 levels) is kept, never the matrix nor a failure."""
+    """Grouped eigenvalues of the dense transposed uniform state: through _once, only the
+    Spectrum (at most k + 1 levels) is kept, never the matrix."""
     _numeric()
     return Spectrum.from_eigenvalues(np.linalg.eigvalsh(maxmixed_pt(bip).matrix))
-
-
-@functools.cache
-def _analytic_spectrum(bip: Bipartition) -> Spectrum:
-    """Exact levels of the transposed uniform state, once per cut per process."""
-    return maxmixed_pt_spectrum(bip)
-
-
-@functools.cache
-def _product_min(w, grid: tuple[int, int]):
-    """minimize_over_products(w, grid), once per witness and grid per process."""
-    return minimize_over_products(w, grid)
-
-
-# Every per-process memo above; whoever needs them empty clears this tuple, so none is missed.
-_MEMOS = (_numeric_spectrum, _analytic_spectrum, _product_min)
 
 
 def cmd_spectrum(args) -> Table:
@@ -202,12 +196,12 @@ def cmd_spectrum(args) -> Table:
     if args.mode == "analytic" and (limit := print_limit_exceeded((bip.n + 1, 1), (bip.n, bip.k))):
         raise ValueError(f"spectrum: denominator (n+1) C(n, k) has more than {limit} digits to print")
     if args.mode != "analytic":
-        numeric = _numeric_spectrum(bip)
+        numeric = _once(_numeric_spectrum, bip)
     if args.mode != "both":
-        spec = _analytic_spectrum(bip) if args.mode == "analytic" else numeric
+        spec = _once(maxmixed_pt_spectrum, bip) if args.mode == "analytic" else numeric
         return Table(header, "entries", ("value", "multiplicity"), list(spec.entries))
 
-    analytic = _analytic_spectrum(bip)
+    analytic = _once(maxmixed_pt_spectrum, bip)
     if [m for _, m in analytic.entries] != [m for _, m in numeric.entries]:
         raise RuntimeError("spectrum: numeric degeneracy structure deviates from the closed form")
     rows = []
@@ -310,7 +304,7 @@ def cmd_witness(args) -> Table:
         return Table({"witness": w.name, "detection_threshold": thr}, text=_fmt(thr) + "\n")
     _numeric()
     if args.validate:
-        val, (theta, phi) = _product_min(w, args.grid)
+        val, (theta, phi) = _once(minimize_over_products, w, args.grid)
         text = f"min={_fmt(val)} theta={_fmt(theta)} phi={_fmt(phi)}\n"
         header = {"witness": w.name, "product_min": val, "theta": theta, "phi": phi}
         return Table(header, text=text, violation=_invalid(w, val))
@@ -318,7 +312,7 @@ def cmd_witness(args) -> Table:
     # Product-state values out of double range are the error to report, even when the
     # expectation is also constant in p, so the minimum is taken before the threshold.
     p_min = sappt_threshold_qubits(n)
-    val, (theta, phi) = _product_min(w, args.grid)
+    val, (theta, phi) = _once(minimize_over_products, w, args.grid)
     thr = detection_threshold(w, n)
     # A valid witness has t >= 0, so with g = Tr rho(0) W < 0 it detects rho(p) exactly for p < p*.
     certified = val >= 0 and expectation_value(ghz_witness_mixture(n, 0.0), w) < 0 and thr > float(p_min)

@@ -200,7 +200,7 @@ class TestSpectrum:
         # one more of it, never both at once.
         # The memo is cleared first, so the cut is really assembled and diagonalised.
         dim = Bipartition(60, 30).dim
-        cli._numeric_spectrum.cache_clear()
+        cli._once.cache_clear()
         tracemalloc.start()
         try:
             code, out, err = run(capsys, ["spectrum", "--n", "60", "--mode", "numeric"])

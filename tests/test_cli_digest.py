@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import shutil
 from pathlib import Path
 
 from symppt import cli
@@ -37,3 +38,14 @@ def test_digest_hashes_exit_code_and_both_streams():
     src = Path(cli.__file__).resolve().parents[1]
     assert load_tool().digests(str(src), argvs) == expected
     assert expected[0] != expected[1]
+
+
+def test_run_side_writes_no_bytecode(tmp_path, monkeypatch):
+    # Even where the environment allows bytecode, the side's interpreter writes none into its tree.
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    src = Path(cli.__file__).resolve().parents[1]
+    copy = tmp_path / "src"
+    shutil.copytree(src / "symppt", copy / "symppt", ignore=shutil.ignore_patterns("__pycache__"))
+    argvs = [["table1", "--nmax", "4"], ["spectrum", "--n", "5", "--mode", "both"]]
+    assert load_tool().run_side(str(copy), argvs) == load_tool().digests(str(src), argvs)
+    assert list(copy.rglob("__pycache__")) == []

@@ -1,7 +1,10 @@
 """tools/oneshot.py: its command set is the README's CLI examples, and its runs."""
 
 import importlib.util
+import py_compile
 import shlex
+import shutil
+import sys
 from pathlib import Path
 
 from symppt import cli
@@ -38,6 +41,25 @@ def test_run_once_is_a_fresh_cli_process(capsys):
     seconds, code, out = load_tool().run_once(str(ROOT / "src"), argv)
     assert (code, out) == (cli.main(argv), capsys.readouterr().out)
     assert seconds > 0
+
+
+def test_children_compile_the_tree_from_source(capsys, tmp_path, monkeypatch):
+    # A tree holding bytecode that no longer matches its source: an unchecked-hash pyc,
+    # which the import system trusts without looking at the source.
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    tree = tmp_path / "stale"
+    shutil.copytree(ROOT / "src" / "symppt", tree / "symppt", ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "stale_init.py"
+    source.write_text('print("stale bytecode")\n', encoding="utf-8")
+    pyc = tree / "symppt" / "__pycache__" / f"__init__.{sys.implementation.cache_tag}.pyc"
+    py_compile.compile(str(source), cfile=str(pyc), invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    tool = load_tool()
+    argv = ["witness", "W5", "--threshold"]
+    expected = (cli.main(argv), capsys.readouterr().out)
+    assert tool.run_once(str(tree), argv)[1:] == (expected[0], "stale bytecode\n" + expected[1])
+    copy = tool.without_bytecode(str(tree), str(tmp_path / "copy"))
+    assert tool.run_once(copy, argv)[1:] == expected
+    assert pyc.exists() and not (tmp_path / "copy" / "symppt" / "__pycache__").exists()
 
 
 def test_summary():

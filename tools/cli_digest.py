@@ -12,6 +12,11 @@ SHA-256 of its exit code, stdout and stderr; a command that raises
 ``SystemExit`` (help) records the exit's code.  The script prints the command
 count and every argv whose digests differ, and exits 1 if any does.
 
+No process writes bytecode, whatever PYTHONDONTWRITEBYTECODE says: each side
+runs as ``python -B``, and this process imports ``workloads`` with
+``sys.dont_write_bytecode`` set.  Neither tree nor ``perfbench/`` gains a
+``__pycache__``.
+
 The 500 commands:
 
 - the 108 ``qubit_scan`` operations of seed 7 (``perfbench/workloads.py``);
@@ -56,6 +61,7 @@ WITNESS_FILES = {
 def commands(witness_dir: Path) -> list[list[str]]:
     """Every argv of the check; the witness files are named inside witness_dir."""
     sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True
     import workloads
 
     argvs = [op["argv"] for op in workloads.generate("qubit_scan", SCAN_SEED)]
@@ -106,7 +112,7 @@ def digests(src: str, argvs: list[list[str]]) -> list[str]:
 def run_side(src: str, argvs: list[list[str]]) -> list[str]:
     """digests(src, argvs), computed in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, __file__, "--side", src],
+        [sys.executable, "-B", __file__, "--side", src],
         input=json.dumps(argvs), capture_output=True, text=True,
     )
     if proc.returncode:

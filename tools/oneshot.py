@@ -16,19 +16,25 @@ tree's wall seconds and the ratio of the medians.
 The classes are ``exact`` (commands that need no numpy), ``spectrum numeric``,
 ``scan``, ``qudit-check`` and ``witness --validate`` (the witness report, which
 validates too, and ``--validate``).  A command that exits nonzero, or whose
-stdout differs between the trees, makes the script exit 1.  Valid bytecode
-would spare one tree the compilation of symppt, so a tree holding
-``symppt/__pycache__`` is refused.
+stdout differs between the trees, makes the script exit 1.
+
+Valid bytecode would spare one tree the compilation of symppt, so the children
+run from copies of the trees made without their ``__pycache__`` directories,
+one per run of the script, and write none into them: every child compiles
+symppt from source, and reads the standard library's and numpy's bytecode
+where it always does.  (An empty PYTHONPYCACHEPREFIX would hide those as well,
+and time the compilation of numpy.)
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import statistics
 import subprocess
 import sys
-from pathlib import Path
+import tempfile
 from time import perf_counter
 
 ROUNDS = 10
@@ -60,6 +66,11 @@ def run_once(src: str, argv: list[str]) -> tuple[float, int, str]:
     return perf_counter() - t0, proc.returncode, proc.stdout
 
 
+def without_bytecode(src: str, dest: str) -> str:
+    """A copy of the tree src at dest, without its __pycache__ directories."""
+    return shutil.copytree(src, dest, ignore=shutil.ignore_patterns("__pycache__"))
+
+
 def summary(times: list[float]) -> tuple[float, float]:
     """(median, interquartile range) of the times."""
     q1, q2, q3 = statistics.quantiles(times, n=4, method="inclusive")
@@ -70,24 +81,22 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs=2, metavar="SRC", help="PARENT_SRC and CHANGE_SRC")
     args = parser.parse_args(argv)
-    for src in args.trees:
-        if (Path(src) / "symppt" / "__pycache__").exists():
-            print(f"oneshot: remove {Path(src) / 'symppt' / '__pycache__'} first", file=sys.stderr)
-            return 1
     times = {(cls, side): [] for cls in COMMANDS for side in (0, 1)}
     problems = set()
-    for i in range(ROUNDS):
-        for cls, argvs in COMMANDS.items():
-            for cmd in argvs:
-                outputs = set()
-                for side in (i % 2, 1 - i % 2):
-                    seconds, code, out = run_once(args.trees[side], cmd)
-                    times[cls, side].append(seconds)
-                    outputs.add(out)
-                    if code:
-                        problems.add(f"exit {code} from {args.trees[side]}: {' '.join(cmd)}")
-                if len(outputs) > 1:
-                    problems.add(f"stdout differs between the trees: {' '.join(cmd)}")
+    with tempfile.TemporaryDirectory(prefix="oneshot-") as tmp:
+        trees = [without_bytecode(src, os.path.join(tmp, str(side))) for side, src in enumerate(args.trees)]
+        for i in range(ROUNDS):
+            for cls, argvs in COMMANDS.items():
+                for cmd in argvs:
+                    outputs = set()
+                    for side in (i % 2, 1 - i % 2):
+                        seconds, code, out = run_once(trees[side], cmd)
+                        times[cls, side].append(seconds)
+                        outputs.add(out)
+                        if code:
+                            problems.add(f"exit {code} from {args.trees[side]}: {' '.join(cmd)}")
+                    if len(outputs) > 1:
+                        problems.add(f"stdout differs between the trees: {' '.join(cmd)}")
     print(f"{ROUNDS} rounds; wall seconds, median (IQR)")
     print(f"{'class':<20} {'parent':>18} {'change':>18} {'change/parent':>14}")
     for cls in COMMANDS:

@@ -179,10 +179,6 @@ def _once(f, *args):
     return f(*args)
 
 
-# Every per-process memo; whoever needs them empty clears this tuple, so none is missed.
-_MEMOS = (_once,)
-
-
 def _numeric_spectrum(bip: Bipartition) -> Spectrum:
     """Grouped eigenvalues of the dense transposed uniform state: through _once, only the
     Spectrum (at most k + 1 levels) is kept, never the matrix."""
@@ -424,7 +420,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         print(f"symppt: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -92,13 +92,12 @@ def _golden_min(f, lo: float, hi: float, tol: float):
     """Golden-section minimum of a unimodal-enough f on [lo, hi]; f maps an array of points to their
     values.  A batch holds every point the next GOLDEN_LOOKAHEAD steps can reach (2 + 4 + 8 + 16) as a
     heap: the step at node k takes point i = 2k if f1 <= f2, else 2k + 1, and goes to node i + 1.  The
-    steps visit the points of one call per step; a batch that raises is redone a visited point at a time.
-    tol must exceed the float spacing of [lo, hi], or the interval stops shrinking and the loop never ends."""
+    steps visit the points of one call per step; a batch that raises is redone a visited point at a time."""
     ratio = (math.sqrt(5) - 1) / 2
     x1 = hi - ratio * (hi - lo)
     x2 = lo + ratio * (hi - lo)
     f1, f2 = f(np.array([x1, x2]))
-    while hi - lo > tol:
+    while hi - lo > tol and lo < x1 < x2 < hi:
         nodes, points = [(lo, hi, x1, x2)], []
         for k in range(2**GOLDEN_LOOKAHEAD - 1):
             a, b, p1, p2 = nodes[k]
@@ -110,7 +109,7 @@ def _golden_min(f, lo: float, hi: float, tol: float):
             values = None
         k = 0
         for _ in range(GOLDEN_LOOKAHEAD):
-            if not hi - lo > tol:
+            if not (hi - lo > tol and lo < x1 < x2 < hi):
                 break
             left = f1 <= f2
             i = 2 * k + (not left)

@@ -1,5 +1,6 @@
-"""Every test starts with the CLI's per-process memos empty, so the order in
-which tests run cannot decide whether a command computes or reuses a result.
+"""Every test starts with the CLI's per-process memo `cli._once` empty, so the
+order in which tests run cannot decide whether a command computes or reuses a
+result.
 
 A test run leaves no bytecode in the checkout: this process writes none from
 here on, nor do the interpreters the tests start.  pytest caches this file's
@@ -26,5 +27,4 @@ from symppt import cli
 
 @pytest.fixture(autouse=True)
 def clear_cli_memos():
-    for memo in cli._MEMOS:
-        memo.cache_clear()
+    cli._once.cache_clear()

@@ -253,11 +253,6 @@ class TestSpectrum:
         assert len(err.splitlines()) == 1
 
 
-def clear_memos():
-    for memo in cli._MEMOS:
-        memo.cache_clear()
-
-
 def counting(monkeypatch, name) -> list:
     """Wrap cli's binding of name; returns the list of the first argument of every call."""
     calls, func = [], getattr(cli, name)
@@ -277,9 +272,9 @@ class TestMemo:
     def warm_equals_cold(self, capsys, argvs):
         cold = []
         for argv in argvs:
-            clear_memos()
+            cli._once.cache_clear()
             cold.append(run(capsys, argv))
-        clear_memos()
+        cli._once.cache_clear()
         warm = [[run(capsys, argv) for argv in argvs] for _ in range(2)]
         assert warm == [cold, cold]
         return cold

@@ -3,7 +3,8 @@
 `import symppt.cli` loads neither numpy nor the numeric modules, and neither do
 `table1`, `spectrum --mode analytic` and `witness --threshold`.  The first
 numeric command loads them all and binds their names into `cli`, keeping a
-name that was patched before it.
+name that was patched before it.  Where numpy cannot be imported, a numeric
+command exits 1 with one line.
 """
 
 import json
@@ -70,20 +71,46 @@ def test_exact_commands_load_no_numeric_module(tmp_path):
     assert fresh(argvs, result=loaded) == [[0] * len(argvs), [], ["symppt", "symppt.cli", "symppt.combx"]]
 
 
+NUMERIC_ARGVS = {
+    "spectrum-numeric": ["spectrum", "--n", "6", "--mode", "numeric"],
+    "spectrum-both": ["spectrum", "--n", "6", "--mode", "both"],
+    "scan": ["scan", "--witness", "W5", "--p-from", "0.97", "--p-to", "1", "--steps", "3"],
+    "qudit-check": ["qudit-check", "--d", "3", "--nmax", "4"],
+    "witness-report": ["witness", "W5"],
+    "witness-validate": ["witness", "W5", "--validate"],
+    "witness-p": ["witness", "W5", "--p", "0.97"],
+}
+
+
 # Each command runs first in its interpreter, before `cli` holds any numeric name, so a
 # _numeric() call moved below the first numeric name its command reads fails here.
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--n", "6", "--mode", "numeric"],
-    ["spectrum", "--n", "6", "--mode", "both"],
-    ["scan", "--witness", "W5", "--p-from", "0.97", "--p-to", "1", "--steps", "3"],
-    ["qudit-check", "--d", "3", "--nmax", "4"],
-    ["witness", "W5"],
-    ["witness", "W5", "--validate"],
-    ["witness", "W5", "--p", "0.97"],
-], ids=["spectrum-numeric", "spectrum-both", "scan", "qudit-check", "witness-report", "witness-validate",
-        "witness-p"])
+@pytest.mark.parametrize("argv", NUMERIC_ARGVS.values(), ids=NUMERIC_ARGVS.keys())
 def test_numeric_command_loads_them_all(argv):
     assert fresh([argv]) == [[0], NUMERIC, None]
+
+
+def test_numeric_commands_without_numpy_exit_1_with_one_line():
+    # numpy is blocked, as if it were not installed; each command gets its own streams.
+    code = f"""
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import symppt.cli as cli
+results = []
+for argv in {list(NUMERIC_ARGVS.values())!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    results = json.loads(proc.stdout)
+    assert len(results) == len(NUMERIC_ARGVS)
+    for code, out, err in results:
+        assert (code, out) == (1, "")
+        assert err.startswith("symppt: error: ") and "numpy" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_patch_before_the_first_numeric_command_sees_the_call():

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +352,22 @@ class TestGoldenMin:
         )
         with pytest.raises(ValueError, match="past 0.9"):
             witness._golden_min(vector, 0.95, 1.0, REFINE_TOL)
+
+    def test_ends_where_the_interval_stops_shrinking(self):
+        # No interval of floats is narrower than tol = 0, nor [1e10, 1e10 + 1e-5] (spacing 1.9e-6)
+        # than 1e-8: the search ends when a step can no longer shrink it.  The calls run in a child
+        # process, so a search that never ends fails by the timeout.
+        code = """
+from symppt.witness import REFINE_TOL, _golden_min
+f = lambda t: (t - 0.2) ** 2
+for lo, hi, tol in ((0.0, 1.0, 0.0), (1e10, 1e10 + 1e-5, REFINE_TOL)):
+    x, fx = _golden_min(f, lo, hi, tol)
+    print(float(x), float(fx))
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert proc.stdout == f"0.2 0.0\n{1e10 + 2**-19} {(1e10 + 2**-19 - 0.2) ** 2}\n"
 
 
 def parent_route(w, grid):

@@ -7,17 +7,19 @@ Usage, from the root of a checkout:
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Each
 side runs in a fresh interpreter that imports symppt from its own tree and
 calls ``symppt.cli.main(argv)`` in-process for every command, after clearing
-the CLI's per-process memos (``cli._MEMOS``).  A command's digest is the
-SHA-256 of its exit code, stdout and stderr; a command that raises
-``SystemExit`` (help) records the exit's code.  The script prints the command
-count and every argv whose digests differ, and exits 1 if any does.
+the CLI's per-process memo ``cli._once``.  A command's digest is the SHA-256
+of its exit code, stdout and stderr, and for an ``--out`` command also of the
+file it wrote, which is then removed; a command that raises ``SystemExit``
+(help) records the exit's code.  The script prints the command count and every
+argv whose digests differ, and exits 1 if any does.
 
 No process writes bytecode, whatever PYTHONDONTWRITEBYTECODE says: each side
 runs as ``python -B``, and this process imports ``workloads`` with
 ``sys.dont_write_bytecode`` set.  Neither tree nor ``perfbench/`` gains a
 ``__pycache__``.
 
-The 500 commands:
+The 524 commands, which run every line of ``cli.py``'s functions but
+``__getattr__``'s body and ``_json``'s final ``raise``:
 
 - the 108 ``qubit_scan`` operations of seed 7 (``perfbench/workloads.py``);
 - the 274 README reference commands, ``workloads.reference_argvs()``;
@@ -29,6 +31,18 @@ The 500 commands:
   from 3x1 to 2880x1440, in text and JSON;
 - two witness files, one with a positive and one with a negative corner, as
   a JSON report and with ``--validate``, at four grids;
+- a witness file whose product-state minimum is -1, as a report and with
+  ``--validate``: each prints, then exits 2;
+- the README's eight CLI examples, verbatim, among them ``witness W5 --n 5
+  --p 0.96774``; ``witness W7 --p 0.999`` in JSON; ``qudit-check --d 4
+  --nmax 19``, which stops at the first n whose k = 1 cut is over the
+  dimension cap;
+- ``table1`` and a ``witness`` report with ``--out`` into the temporary
+  directory;
+- one refusal per argument check: no witness, a witness dim that does not
+  match ``--n``, ``table1 --nmax`` 3 and 15, an analytic denominator past the
+  print limit, a reversed ``scan`` p range, ``--steps`` 0 and past the cap,
+  ``qudit-check --nmax 1`` and a malformed ``--grid``;
 - argument errors and help: a bare ``symppt``, an unknown command, a missing
   required flag, a bad ``--mode`` choice, ``--bogus 1``, the abbreviation
   ``--form json``, the ``--n=6`` form, and ``-h`` at the top level and after
@@ -56,10 +70,38 @@ WITNESS_FILES = {
     "positive_corner.json": {"name": "pos", "diagonal": [1.0, 0.2, 0.2, 1.0], "corner": 0.4},
     "negative_corner.json": {"name": "neg", "diagonal": [1.0, -0.3, 0.5, 0.5, -0.3, 1.0], "corner": -0.7},
 }
+# Its product-state minimum is -1: the report and --validate print, then exit 2.
+INVALID_WITNESS = {"name": "invalid", "diagonal": [1.0, -3.0, 1.0], "corner": 0.0}
+README_EXAMPLES = (
+    "table1 --nmax 10",
+    "spectrum --n 5 --k 2",
+    "spectrum --n 5 --k 2 --mode both",
+    "scan --n 5 --witness W5 --p-from 0.95 --p-to 1.0 --steps 51",
+    "qudit-check --d 3 --nmax 15",
+    "witness W5 --n 5 --p 0.96774",
+    "witness W9 --validate",
+    "witness W5 --threshold",
+)
+# One refusal per argument check of the commands.
+REFUSALS = (
+    "witness",
+    "witness W5 --n 6",
+    "table1 --nmax 3",
+    "table1 --nmax 15",
+    "spectrum --n 1000000000",
+    "scan --witness W5 --p-from 0.9 --p-to 0.8",
+    "scan --witness W5 --p-from 0.9 --p-to 1 --steps 0",
+    "scan --witness W5 --p-from 0.9 --p-to 1 --steps 100001",
+    "qudit-check --d 3 --nmax 1",
+    "witness W5 --grid 7",
+)
 
 
-def commands(witness_dir: Path) -> list[list[str]]:
-    """Every argv of the check; the witness files are named inside witness_dir."""
+def commands(tmp: Path) -> list[list[str]]:
+    """Every argv of the check.  The witness files it names are written into tmp, and
+    its --out commands write there."""
+    for filename, data in {**WITNESS_FILES, "invalid.json": INVALID_WITNESS}.items():
+        (tmp / filename).write_text(json.dumps(data), encoding="utf-8")
     sys.path.insert(0, str(PERFBENCH))
     sys.dont_write_bytecode = True
     import workloads
@@ -77,10 +119,17 @@ def commands(witness_dir: Path) -> list[list[str]]:
                 argvs.append(["witness", name, "--grid", grid, "--format", fmt])
                 argvs.append(["witness", name, "--validate", "--grid", grid, "--format", fmt])
     for filename in WITNESS_FILES:
-        path = str(witness_dir / filename)
+        path = str(tmp / filename)
         for grid in FILE_GRIDS:
             argvs.append(["witness", "--witness-file", path, "--grid", grid, "--format", "json"])
             argvs.append(["witness", "--witness-file", path, "--validate", "--grid", grid])
+    path = str(tmp / "invalid.json")
+    argvs += [["witness", "--witness-file", path], ["witness", "--witness-file", path, "--validate"]]
+    argvs += [line.split() for line in README_EXAMPLES + REFUSALS]
+    # Past the first n whose k = 1 cut is over the dimension cap, qudit-check stops.
+    argvs += [["qudit-check", "--d", "4", "--nmax", "19"], ["witness", "W7", "--p", "0.999", "--format", "json"]]
+    argvs += [["table1", "--nmax", "5", "--out", str(tmp / "table1.csv")],
+              ["witness", "W5", "--format", "json", "--out", str(tmp / "w5.json")]]
     argvs += [[], ["no-such-command"], ["spectrum"], ["spectrum", "--n", "5", "--mode", "exact"],
               ["table1", "--bogus", "1"], ["table1", "--nmax", "4", "--form", "json"], ["spectrum", "--n=6"],
               ["-h"], ["spectrum", "-h"]]
@@ -88,7 +137,8 @@ def commands(witness_dir: Path) -> list[list[str]]:
 
 
 def digests(src: str, argvs: list[list[str]]) -> list[str]:
-    """One hex digest of (exit code, stdout, stderr) per argv, run in this process from src."""
+    """One hex digest of (exit code, stdout, stderr[, the --out file]) per argv, run in this
+    process from src."""
     sys.path.insert(0, src)
     from symppt import cli
 
@@ -96,16 +146,19 @@ def digests(src: str, argvs: list[list[str]]) -> list[str]:
         raise SystemExit(f"cli_digest: symppt imported from {cli.__file__}, not from {src}")
     out = []
     for argv in argvs:
-        for memo in cli._MEMOS:
-            memo.cache_clear()
+        cli._once.cache_clear()
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = cli.main(list(argv))
             except SystemExit as exc:
                 code = exc.code
-        record = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
-        out.append(hashlib.sha256(record.encode()).hexdigest())
+        record = [code, stdout.getvalue(), stderr.getvalue()]
+        if "--out" in argv:
+            written = Path(argv[argv.index("--out") + 1])
+            record.append(written.read_text(encoding="utf-8"))
+            written.unlink()
+        out.append(hashlib.sha256(json.dumps(record).encode()).hexdigest())
     return out
 
 
@@ -128,8 +181,6 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/cli_digest.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
-        for filename, data in WITNESS_FILES.items():
-            (Path(tmp) / filename).write_text(json.dumps(data), encoding="utf-8")
         argvs = commands(Path(tmp))
         parent, change = (run_side(src, argvs) for src in argv)
     mismatches = [" ".join(a) for a, p, c in zip(argvs, parent, change) if p != c]

@@ -415,7 +415,7 @@ def main(argv=None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         table = args.func(args)
         text = _render(table, args.format)
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         else:

@@ -5,11 +5,11 @@ import contextlib
 import io
 import json
 import math
+import shlex
 import struct
 import sys
 import time
 import tracemalloc
-import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -34,13 +34,167 @@ from symppt import (
 from symppt.cli import main
 
 from oracles import scan_rows_per_p, tilted_eigh
-from test_tracing_bindings import load_bindings
+from conftest import load_script
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The refusals: every argv the CLI refuses, with exit code 1 (2 for a numerical failure),
+# nothing on stdout and one stderr line.  REFUSALS[group][case] is one row, (argv, witness
+# file, exit code, stderr line); the test that names a group runs it.  FILE stands for the
+# path of the row's witness file in its argv and stderr: the row writes its text or bytes
+# there, makes a directory there for DIRECTORY, or writes nothing for None.
+FILE = "{file}"
+WF = f"--witness-file {FILE}"
+DIRECTORY = object()
+
+
+def refusal(command, message, file=None, code=1):
+    """A row of the argv that a shell splits command into.  Its stderr is the whole line,
+    or, for a message that ends in "...", the stable prefix of a line in argparse's wording."""
+    line = ("symppt: error: " if code == 1 else "symppt: numerical failure: ") + message
+    return shlex.split(command), file, code, line[:-3] if line.endswith("...") else line + "\n"
+
+
+# Witness-file contents the CLI refuses, with the message that names the reader.
+READER = "witness_from_json: "
+NUMBERS = READER + "coefficients must be JSON numbers, got "
+ARRAY = READER + "diagonal must be a JSON array, got "
+INTEGER = READER + "dim must be a JSON integer, got "
+BAD_WITNESS_FILES = {
+    "missing-corner": ('{"diagonal": [1, 0, 1]}', READER + "missing key(s) corner"),
+    "missing-diagonal": ('{"corner": -1}', READER + "missing key(s) diagonal"),
+    "not-an-object": ("[1, 0, 1]", READER + "expected a JSON object, got list"),
+    "corner-inf": ('{"diagonal": [1, 0, 1], "corner": "inf"}', NUMBERS + '"inf"'),
+    "corner-nan": ('{"diagonal": [1, 0, 1], "corner": "nan"}', NUMBERS + '"nan"'),
+    "diagonal-infinity": ('{"diagonal": [Infinity, 0, Infinity], "corner": -1}',
+                          "Witness: diagonal and corner must be finite"),
+    "diagonal-string": ('{"name": "x", "diagonal": "10001", "corner": true}', ARRAY + '"10001"'),
+    "diagonal-number": ('{"diagonal": 1, "corner": -1}', ARRAY + "1"),
+    "diagonal-object": ('{"diagonal": {"0": 1, "1": 1}, "corner": -1}', ARRAY + '{"0": 1, "1": 1}'),
+    "diagonal-string-entry": ('{"diagonal": ["1", 0, "1"], "corner": -1}', NUMBERS + '"1"'),
+    "diagonal-bool-entry": ('{"diagonal": [true, false, true], "corner": -1}', NUMBERS + "true"),
+    "diagonal-null-entry": ('{"diagonal": [1, null, 1], "corner": -1}', NUMBERS + "null"),
+    "corner-string": ('{"diagonal": [1, 0, 1], "corner": "-1"}', NUMBERS + '"-1"'),
+    "corner-bool": ('{"diagonal": [1, 0, 1], "corner": true}', NUMBERS + "true"),
+    "corner-null": ('{"diagonal": [1, 0, 1], "corner": null}', NUMBERS + "null"),
+    "corner-past-double": ('{"diagonal": [1, 0, 1], "corner": -1%s}' % ("0" * 400),
+                           READER + "int too large to convert to float"),
+    "dim-float": ('{"dim": 3.0, "diagonal": [1, 0, 1], "corner": -1}', INTEGER + "3.0"),
+    "dim-string": ('{"dim": "3", "diagonal": [1, 0, 1], "corner": -1}', INTEGER + '"3"'),
+    "dim-bool": ('{"dim": true, "diagonal": [1, 0, 1], "corner": -1}', INTEGER + "true"),
+    "dim-null": ('{"dim": null, "diagonal": [1, 0, 1], "corner": -1}', INTEGER + "null"),
+    "missing-file": (None, f"[Errno 2] No such file or directory: '{FILE}'"),
+    "directory": (DIRECTORY, f"[Errno 21] Is a directory: '{FILE}'"),
+    "nested-too-deep": ("[" * 100_000 + "]" * 100_000,
+                        READER + "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    # 100 bytes led by an x86-64 ELF header: byte 24, 0xd0, opens a UTF-8 pair that byte 25 does not close.
+    "not-utf-8": (b"\x7fELF\x02\x01\x01" + bytes(9) + b"\x03\x00\x3e\x00\x01\x00\x00\x00\xd0\x10" + bytes(74),
+                  READER + "'utf-8' codec can't decode byte 0xd0 in position 24: invalid continuation byte"),
+    "utf-8-bom": ('\ufeff{"diagonal": [1, 0, 1], "corner": -1}',
+                  READER + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "utf-16": ('{"diagonal": [1, 0, 1], "corner": -1}'.encode("utf-16"),
+               READER + "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "empty": ("", READER + "Expecting value: line 1 column 1 (char 0)"),
+}
+
+# Witness files whose product-state values leave double range: C(1100, 550)
+# converts to no double, and 1e300 * C(600, a) overflows to inf, then nan.
+NONFINITE_WITNESS_FILES = {
+    "n=1100": {"name": "wide", "diagonal": [1.0] * 1101, "corner": -1.0},
+    "1e300": {"name": "huge", "diagonal": [1e300] * 601, "corner": -1.0},
+}
+
+# Witness files whose detection threshold or GHZ-mixture expectation leaves double range:
+# Tr W, <GHZ|W|GHZ> or the corner sum overflows to inf, and inf - inf is nan.
+THRESHOLD_OVERFLOW = "detection_threshold: witness custom: <GHZ|W|GHZ> - Tr(W)/(n+1) leaves double range"
+OVERFLOW_COMMANDS = {
+    "threshold": ({"diagonal": [1e308, 1e308], "corner": 0}, "witness --threshold", THRESHOLD_OVERFLOW),
+    "report": ({"diagonal": [1.7e308, 0, 1.7e308], "corner": 0.8e308}, "witness --p 0", THRESHOLD_OVERFLOW),
+    "scan": ({"diagonal": [1.7e308, 0, 1.7e308], "corner": 1.7e308}, "scan --p-from 0 --p-to 0.1 --steps 2",
+             "witness custom: expectation leaves double range"),
+}
+
+# The commands that read a witness file, the two output formats, and a name of each other JSON type.
+READS = {"validate": f"witness --validate {WF}", "report": f"witness {WF}", "threshold": f"witness --threshold {WF}",
+         "scan": f"scan --p-from 0 --p-to 1 {WF}"}
+FORMATS = {"default": "", "json": " --format json"}
+NAME_TYPES = {"null": "null", "number": "5", "bool": "true", "array": '["a"]', "object": '{"a": 1}'}
+ONLY_FLAGS = [(["--validate"], ["--threshold"]), (["--threshold"], ["--p", "0.97"]), (["--validate"], ["--p", "0.97"])]
+NOT_ALLOWED = "argument {}: not allowed with argument {}"
+NO_WITNESS = "a witness name (W5/W7/W9) or --witness-file is required"
+
+REFUSALS = {
+    # test_command_error_messages: a refusal that no test below covers is one more row here.
+    "command": {
+        "spectrum-degeneracy-mismatch": refusal(
+            "spectrum --n 4 --mode both", code=2,
+            message="spectrum: numeric degeneracy structure deviates from the closed form"),
+        "qudit-check-nmax-1": refusal("qudit-check --d 3 --nmax 1", "qudit-check: nmax must be >= 2, got 1"),
+        "table1-out-empty": refusal('table1 --nmax 4 --out ""', "[Errno 2] No such file or directory: ''"),
+    },
+    "table1 --out": {"missing-dir": refusal(f"table1 --nmax 4 --out {FILE}/t.csv",
+                                            f"[Errno 2] No such file or directory: '{FILE}/t.csv'")},
+    "nmax": {n: refusal(f"table1 --nmax {n}", f"table1: nmax must lie in [4, 14], got {n}") for n in ("3", "15")},
+    "spectrum --k": {"3": refusal("spectrum --n 5 --k 3", "Bipartition: need 1 <= k <= floor(n/2) = 2, got k=3")},
+    "spectrum cap": {mode: refusal(f"spectrum --n 2000 --mode {mode}",
+                                   "maxmixed_pt_blocks: bipartite dimension 1002001 exceeds cap 5000")
+                     for mode in ("numeric", "both")},
+    "scan p range": {"reversed": refusal("scan --n 5 --witness W5 --p-from 0.9 --p-to 0.2",
+                                         "scan: need 0 <= p-from <= p-to <= 1, got [0.9, 0.2]")},
+    "qudit-check --d": {"1": refusal("qudit-check --d 1", "Bipartition: local dimension must be >= 2, got 1")},
+    "only flags": {" ".join(a + b): refusal(" ".join(["witness W5", *a, *b]), NOT_ALLOWED.format(b[0], a[0]))
+                   for pair in ONLY_FLAGS for a, b in (pair, pair[::-1])},
+    "unknown": {"W4": refusal("witness W4", "builtin_witness: unknown witness 'W4', expected one of W5, W7, W9")},
+    "witness --n": {"7": refusal("witness W5 --n 7", "witness: witness dim 6 does not match n=7")},
+    "no witness": {"bare": refusal("witness", NO_WITNESS)},
+    **{f"{command} sources": {
+        "name-first": refusal(f"{command} {name} {WF} {extra}", NOT_ALLOWED.format("--witness-file", label)),
+        "file-first": refusal(f"{command} {WF} {name} {extra}", NOT_ALLOWED.format(label, "--witness-file")),
+        "none": refusal(f"{command} {extra}", NO_WITNESS),
+    } for command, name, label, extra in [("witness", "W5", "witness", "--validate --grid 5x3"),
+                                          ("scan", "--witness W5", "--witness", "--p-from 1 --p-to 1")]},
+    "unknown command": {"bare": refusal("no-such-command", "argument command: invalid choice: ...")},
+    "required flag": {"spectrum": refusal("spectrum", "the following arguments are required: --n")},
+    "grid spec": {"721": refusal("witness W5 --grid 721", "argument --grid: expects WxH (e.g. 721x360), got '721'")},
+    "bad file": {f"{case}-{command}": refusal(f"{command} {WF}{extra}", message, content)
+                 for case, (content, message) in BAD_WITNESS_FILES.items()
+                 for command, extra in [("witness", ""), ("scan", " --p-from 0.5 --p-to 1")]},
+    "threshold read": {case: refusal(READS["threshold"], BAD_WITNESS_FILES[case][1], BAD_WITNESS_FILES[case][0])
+                       for case in ("empty", "nested-too-deep", "not-utf-8", "utf-16")},
+    "non-finite": {f"{case}{extra}": refusal(
+        f"witness {WF}{extra}", f"witness {data['name']}: product-state expectation leaves double range",
+        json.dumps(data)) for case, data in NONFINITE_WITNESS_FILES.items() for extra in (" --validate", "")},
+    "overflow": {f"{case}-{fmt}": refusal(f"{command} {WF}{FORMATS[fmt]}", message, json.dumps(data))
+                 for case, (data, command, message) in OVERFLOW_COMMANDS.items() for fmt in FORMATS},
+    "unprintable name": {f"{read}-{fmt}": refusal(
+        command + FORMATS[fmt], READER + 'name must be printable, got "a\\nb"',
+        json.dumps({"name": "a\nb", "diagonal": [1, -5, 1], "corner": 0}))
+        for read, command in READS.items() for fmt in FORMATS},
+    "name type": {f"{kind}-{read}-{fmt}": refusal(
+        command + FORMATS[fmt], READER + f"name must be a JSON string, got {name}",
+        f'{{"name": {name}, "diagonal": [1, -5, 1], "corner": 0}}')
+        for kind, name in NAME_TYPES.items() for read, command in READS.items() for fmt in FORMATS},
+}
+
+
+def refuses(capsys, tmp_path, group, *cases):
+    """Run the rows of REFUSALS[group] named by cases, or all of them: each exits with its code,
+    prints nothing on stdout, and prints one stderr line that starts with its text."""
+    for i, case in enumerate(cases or REFUSALS[group]):
+        argv, content, code, err = REFUSALS[group][case]
+        path = tmp_path / f"w{i}.json"
+        if content is DIRECTORY:
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        got_code, out, got_err = run(capsys, [arg.replace(FILE, str(path)) for arg in argv])
+        assert (got_code, out, got_err.count("\n"), got_err[-1:]) == (code, "", 1, "\n"), (group, case, got_err)
+        assert got_err.startswith(err.replace(FILE, str(path))), (group, case, got_err)
 
 
 def test_cli_imports_no_private_names():
@@ -76,7 +230,7 @@ def test_modules_use_every_imported_name():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in imported - used}
     assert unused == TRACER_ONLY_IMPORTS
-    assert TRACER_ONLY_IMPORTS <= {(module, name) for module, name, _ in load_bindings()}
+    assert TRACER_ONLY_IMPORTS <= {(module, name) for module, name, _ in load_script("perfbench/tracing.py").BINDINGS}
 
 
 def test_only_combx_reads_the_print_limit():
@@ -128,18 +282,10 @@ class TestTable1:
         assert raw.endswith(b"\n")
 
     def test_unwritable_out_path(self, capsys, tmp_path):
-        path = tmp_path / "missing-dir" / "t.csv"
-        code, out, err = run(capsys, ["table1", "--nmax", "4", "--out", str(path)])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("symppt: error: ") and len(err.splitlines()) == 1
+        refuses(capsys, tmp_path, "table1 --out")
 
-    def test_range_validation(self, capsys):
-        code, _, err = run(capsys, ["table1", "--nmax", "3"])
-        assert code == 1
-        assert "nmax" in err
-        code, _, _ = run(capsys, ["table1", "--nmax", "15"])
-        assert code == 1
+    def test_range_validation(self, capsys, tmp_path):
+        refuses(capsys, tmp_path, "nmax")
 
 
 class TestSpectrum:
@@ -189,10 +335,8 @@ class TestSpectrum:
         mults = [int(row.split(",")[col]) for row in rows]
         assert mults == [n + 1 - 2 * j for j in range(n // 2 + 1)]
 
-    def test_invalid_bipartition(self, capsys):
-        code, _, err = run(capsys, ["spectrum", "--n", "5", "--k", "3"])
-        assert code == 1
-        assert "k" in err
+    def test_invalid_bipartition(self, capsys, tmp_path):
+        refuses(capsys, tmp_path, "spectrum --k")
 
     def test_numeric_spectrum_holds_one_real_matrix(self, capsys):
         # The dense float64 matrix is dim^2 * 8 bytes; its Hermitian check takes its
@@ -243,14 +387,9 @@ class TestSpectrum:
         assert (code, err) == (0, "")
         assert out == "value,multiplicity\n1/1000000001000000000,1000000001\n1/1000000000,999999999\n"
 
-    @pytest.mark.parametrize("mode", ["numeric", "both"])
-    def test_dimension_cap(self, capsys, mode):
-        code, out, err = run(capsys, ["spectrum", "--n", "2000", "--mode", mode])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("symppt: error: ")
-        assert "exceeds cap 5000" in err
-        assert len(err.splitlines()) == 1
+    @pytest.mark.parametrize("mode", sorted(REFUSALS["spectrum cap"]))
+    def test_dimension_cap(self, capsys, tmp_path, mode):
+        refuses(capsys, tmp_path, "spectrum cap", mode)
 
 
 def counting(monkeypatch, name) -> list:
@@ -386,11 +525,8 @@ class TestScan:
         assert float(cols[2]) < 0
         assert cols[3] == "false"
 
-    def test_range_validation(self, capsys):
-        code, _, _ = run(
-            capsys, ["scan", "--n", "5", "--witness", "W5", "--p-from", "0.9", "--p-to", "0.2"]
-        )
-        assert code == 1
+    def test_range_validation(self, capsys, tmp_path):
+        refuses(capsys, tmp_path, "scan p range")
 
     def test_witness_file(self, capsys, tmp_path):
         path = tmp_path / "w5.json"
@@ -539,9 +675,8 @@ class TestQuditCheck:
         assert by_key[(6, 3)]["conjectured"] == "1/140"
         assert data["max_abs_delta"] <= 1e-8
 
-    def test_argument_validation(self, capsys):
-        code, _, _ = run(capsys, ["qudit-check", "--d", "1"])
-        assert code == 1
+    def test_argument_validation(self, capsys, tmp_path):
+        refuses(capsys, tmp_path, "qudit-check --d")
 
     def test_reports_skipped_cuts(self, capsys):
         code, out, err = run(capsys, ["qudit-check", "--d", "30", "--nmax", "3"])
@@ -664,46 +799,22 @@ class TestWitnessCommand:
         assert data["product_argmin"]["theta"] == pytest.approx(0.0, abs=1e-3)
         assert data["certified_interval"][0] < data["certified_interval"][1]
 
-    @pytest.mark.parametrize(
-        "first, second",
-        [(["--validate"], ["--threshold"]), (["--threshold"], ["--p", "0.97"]), (["--validate"], ["--p", "0.97"])],
-    )
-    def test_only_flags_are_exclusive(self, capsys, first, second):
-        for argv in (["witness", "W5"] + first + second, ["witness", "W5"] + second + first):
-            code, out, err = run(capsys, argv)
-            assert (code, out) == (1, "")
-            assert err.startswith("symppt: error: argument ")
-            assert "not allowed with argument" in err
-            assert len(err.splitlines()) == 1
+    @pytest.mark.parametrize("first, second", ONLY_FLAGS)
+    def test_only_flags_are_exclusive(self, capsys, tmp_path, first, second):
+        refuses(capsys, tmp_path, "only flags", " ".join(first + second), " ".join(second + first))
 
-    def test_unknown_witness(self, capsys):
-        code, _, err = run(capsys, ["witness", "W4"])
-        assert code == 1
-        assert "unknown witness" in err
+    def test_unknown_witness(self, capsys, tmp_path):
+        refuses(capsys, tmp_path, "unknown")
 
-    def test_dimension_mismatch(self, capsys):
-        code, _, _ = run(capsys, ["witness", "W5", "--n", "7"])
-        assert code == 1
+    def test_dimension_mismatch(self, capsys, tmp_path):
+        refuses(capsys, tmp_path, "witness --n")
 
-    def test_missing_witness(self, capsys):
-        code, _, err = run(capsys, ["witness"])
-        assert code == 1
-        assert "witness" in err
+    def test_missing_witness(self, capsys, tmp_path):
+        refuses(capsys, tmp_path, "no witness")
 
     @pytest.mark.parametrize("command", ["witness", "scan"])
-    def test_one_witness_source(self, capsys, command):
-        name = ["W5"] if command == "witness" else ["--witness", "W5"]
-        path = ["--witness-file", str(Path(__file__).parent / "golden" / "custom_witness.json")]
-        extra = ["--validate", "--grid", "5x3"] if command == "witness" else ["--p-from", "1", "--p-to", "1"]
-        for argv in ([command] + name + path + extra, [command] + path + name + extra):
-            code, out, err = run(capsys, argv)
-            assert (code, out) == (1, "")
-            assert err.startswith("symppt: error: argument ")
-            assert "not allowed with argument" in err
-            assert len(err.splitlines()) == 1
-        code, out, err = run(capsys, [command] + extra)
-        assert (code, out) == (1, "")
-        assert err == "symppt: error: a witness name (W5/W7/W9) or --witness-file is required\n"
+    def test_one_witness_source(self, capsys, tmp_path, command):
+        refuses(capsys, tmp_path, f"{command} sources")
 
 
 # The report for a witness file: a negative product-state minimum (invalid) and a
@@ -806,37 +917,6 @@ class TestWitnessCertification:
         assert data["certified_interval"] == [data["p_min_float"], data["detection_threshold"]]
 
 
-BAD_WITNESS_FILES = {
-    "missing-corner": '{"diagonal": [1, 0, 1]}',
-    "missing-diagonal": '{"corner": -1}',
-    "not-an-object": "[1, 0, 1]",
-    "corner-inf": '{"diagonal": [1, 0, 1], "corner": "inf"}',
-    "corner-nan": '{"diagonal": [1, 0, 1], "corner": "nan"}',
-    "diagonal-infinity": '{"diagonal": [Infinity, 0, Infinity], "corner": -1}',
-    "diagonal-string": '{"name": "x", "diagonal": "10001", "corner": true}',
-    "diagonal-number": '{"diagonal": 1, "corner": -1}',
-    "diagonal-object": '{"diagonal": {"0": 1, "1": 1}, "corner": -1}',
-    "diagonal-string-entry": '{"diagonal": ["1", 0, "1"], "corner": -1}',
-    "diagonal-bool-entry": '{"diagonal": [true, false, true], "corner": -1}',
-    "diagonal-null-entry": '{"diagonal": [1, null, 1], "corner": -1}',
-    "corner-string": '{"diagonal": [1, 0, 1], "corner": "-1"}',
-    "corner-bool": '{"diagonal": [1, 0, 1], "corner": true}',
-    "corner-null": '{"diagonal": [1, 0, 1], "corner": null}',
-    "corner-past-double": '{"diagonal": [1, 0, 1], "corner": -1%s}' % ("0" * 400),
-    "dim-float": '{"dim": 3.0, "diagonal": [1, 0, 1], "corner": -1}',
-    "dim-string": '{"dim": "3", "diagonal": [1, 0, 1], "corner": -1}',
-    "dim-bool": '{"dim": true, "diagonal": [1, 0, 1], "corner": -1}',
-    "dim-null": '{"dim": null, "diagonal": [1, 0, 1], "corner": -1}',
-    "missing-file": None,
-    "directory": "",
-    "nested-too-deep": "[" * 100_000 + "]" * 100_000,
-    # 100 bytes led by an x86-64 ELF header: byte 24, 0xd0, opens a UTF-8 pair that byte 25 does not close.
-    "not-utf-8": b"\x7fELF\x02\x01\x01" + bytes(9) + b"\x03\x00\x3e\x00\x01\x00\x00\x00\xd0\x10" + bytes(74),
-    "utf-8-bom": '\ufeff{"diagonal": [1, 0, 1], "corner": -1}',
-    "utf-16": '{"diagonal": [1, 0, 1], "corner": -1}'.encode("utf-16"),
-}
-
-
 class TestWitnessGridCap:
     @pytest.mark.parametrize("grid", ["1000000000000x4", "4x1000000000000"])
     def test_cap_checked_before_the_grid(self, capsys, monkeypatch, grid):
@@ -858,130 +938,52 @@ class TestWitnessGridCap:
         assert peak < 1 << 20
 
 
-# Witness files whose product-state values leave double range: C(1100, 550)
-# converts to no double, and 1e300 * C(600, a) overflows to inf, then nan.
-NONFINITE_WITNESS_FILES = {
-    "n=1100": {"name": "wide", "diagonal": [1.0] * 1101, "corner": -1.0},
-    "1e300": {"name": "huge", "diagonal": [1e300] * 601, "corner": -1.0},
-}
-
-
 class TestNonFiniteWitnessFiles:
     @pytest.mark.parametrize("extra", [["--validate"], []])
     @pytest.mark.parametrize("case", sorted(NONFINITE_WITNESS_FILES))
     def test_exits_1_with_one_error_line(self, capsys, tmp_path, case, extra):
-        data = NONFINITE_WITNESS_FILES[case]
-        path = tmp_path / "w.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(capsys, ["witness", "--witness-file", str(path)] + extra)
-        assert (code, out) == (1, "")
-        name = data["name"]
-        assert err == f"symppt: error: witness {name}: product-state expectation leaves double range\n"
+        refuses(capsys, tmp_path, "non-finite", " ".join([case, *extra]))
 
 
-# Witness files whose detection threshold or GHZ-mixture expectation leaves double range:
-# Tr W, <GHZ|W|GHZ> or the corner sum overflows to inf, and inf - inf is nan.
-THRESHOLD_OVERFLOW = "detection_threshold: witness custom: <GHZ|W|GHZ> - Tr(W)/(n+1) leaves double range"
-OVERFLOW_COMMANDS = {
-    "threshold": ({"diagonal": [1e308, 1e308], "corner": 0}, ["witness", "--threshold"], THRESHOLD_OVERFLOW),
-    "report": ({"diagonal": [1.7e308, 0, 1.7e308], "corner": 0.8e308}, ["witness", "--p", "0"], THRESHOLD_OVERFLOW),
-    "scan": ({"diagonal": [1.7e308, 0, 1.7e308], "corner": 1.7e308},
-             ["scan", "--p-from", "0", "--p-to", "0.1", "--steps", "2"],
-             "witness custom: expectation leaves double range"),
-}
+@pytest.mark.parametrize("case", sorted(REFUSALS["overflow"]))
+def test_overflowing_witness_exits_1_with_one_error_line(capsys, tmp_path, case):
+    refuses(capsys, tmp_path, "overflow", case)
 
 
-@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["default", "json"])
-@pytest.mark.parametrize("case", sorted(OVERFLOW_COMMANDS))
-def test_overflowing_witness_exits_1_with_one_error_line(capsys, tmp_path, case, fmt):
-    data, argv, message = OVERFLOW_COMMANDS[case]
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = run(capsys, [argv[0], "--witness-file", str(path), *argv[1:], *fmt])
-    assert result == (1, "", f"symppt: error: {message}\n")
+@pytest.mark.parametrize("case", sorted(REFUSALS["unprintable name"]))
+def test_unprintable_witness_name_exits_1_with_one_error_line(capsys, tmp_path, case):
+    refuses(capsys, tmp_path, "unprintable name", case)
 
 
-@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["default", "json"])
-@pytest.mark.parametrize("argv", [["witness", "--validate"], ["witness"], ["scan", "--p-from", "0", "--p-to", "1"]],
-                         ids=["validate", "report", "scan"])
-def test_unprintable_witness_name_exits_1_with_one_error_line(capsys, tmp_path, argv, fmt):
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps({"name": "a\nb", "diagonal": [1, -5, 1], "corner": 0}), encoding="utf-8")
-    result = run(capsys, [argv[0], "--witness-file", str(path), *argv[1:], *fmt])
-    assert result == (1, "", 'symppt: error: witness_from_json: name must be printable, got "a\\nb"\n')
-
-
-@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["default", "json"])
-@pytest.mark.parametrize("argv", [["witness", "--validate"], ["witness"], ["witness", "--threshold"],
-                                  ["scan", "--p-from", "0", "--p-to", "1"]],
-                         ids=["validate", "report", "threshold", "scan"])
-@pytest.mark.parametrize("name", ["null", "5", "true", '["a"]', '{"a": 1}'],
-                         ids=["null", "number", "bool", "array", "object"])
-def test_witness_name_of_another_json_type_exits_1_with_one_error_line(capsys, tmp_path, name, argv, fmt):
-    path = tmp_path / "w.json"
-    path.write_text(f'{{"name": {name}, "diagonal": [1, -5, 1], "corner": 0}}', encoding="utf-8")
-    result = run(capsys, [argv[0], "--witness-file", str(path), *argv[1:], *fmt])
-    assert result == (1, "", f"symppt: error: witness_from_json: name must be a JSON string, got {name}\n")
+@pytest.mark.parametrize("case", sorted(REFUSALS["name type"]))
+def test_witness_name_of_another_json_type_exits_1_with_one_error_line(capsys, tmp_path, case):
+    refuses(capsys, tmp_path, "name type", case)
 
 
 class TestWitnessFileErrors:
-    @pytest.mark.parametrize("command", ["witness", "scan"])
-    @pytest.mark.parametrize("case", sorted(BAD_WITNESS_FILES))
-    def test_exits_1_with_one_error_line(self, capsys, tmp_path, case, command):
-        content = BAD_WITNESS_FILES[case]
-        path = tmp_path / "w.json"
-        if case == "directory":
-            path.mkdir()
-        elif content is not None:
-            path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
-        argv = [command, "--witness-file", str(path)]
-        if command == "scan":
-            argv += ["--p-from", "0.5", "--p-to", "1"]
-        code, out, err = run(capsys, argv)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("symppt: error: ")
-        assert len(err.splitlines()) == 1
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("case", sorted(REFUSALS["bad file"]))
+    def test_exits_1_with_one_error_line(self, capsys, tmp_path, case):
+        refuses(capsys, tmp_path, "bad file", case)
 
 
 def test_json_syntax_error_names_the_reader(capsys, tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text("", encoding="utf-8")
-    err = "symppt: error: witness_from_json: Expecting value: line 1 column 1 (char 0)\n"
-    assert run(capsys, ["witness", "--witness-file", str(path), "--threshold"]) == (1, "", err)
+    refuses(capsys, tmp_path, "threshold read", "empty")
 
 
-@pytest.mark.parametrize("case, message", [
-    ("nested-too-deep", "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
-    ("not-utf-8", "'utf-8' codec can't decode byte 0xd0 in position 24: invalid continuation byte"),
-    ("utf-16", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-], ids=["nested-too-deep", "not-utf-8", "utf-16"])
-def test_unreadable_witness_file_names_the_reader(capsys, tmp_path, case, message):
-    content = BAD_WITNESS_FILES[case]
-    path = tmp_path / "w.json"
-    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
-    err = f"symppt: error: witness_from_json: {message}\n"
-    assert run(capsys, ["witness", "--witness-file", str(path), "--threshold"]) == (1, "", err)
+@pytest.mark.parametrize("case", ["nested-too-deep", "not-utf-8", "utf-16"])
+def test_unreadable_witness_file_names_the_reader(capsys, tmp_path, case):
+    refuses(capsys, tmp_path, "threshold read", case)
 
 
 class TestParsing:
-    def test_unknown_command(self, capsys):
-        code, _, _ = run(capsys, ["no-such-command"])
-        assert code == 1
+    def test_unknown_command(self, capsys, tmp_path):
+        refuses(capsys, tmp_path, "unknown command")
 
-    def test_missing_required_flag(self, capsys):
-        code, _, _ = run(capsys, ["spectrum"])
-        assert code == 1
+    def test_missing_required_flag(self, capsys, tmp_path):
+        refuses(capsys, tmp_path, "required flag")
 
-    def test_bad_grid_spec(self, capsys):
-        code, _, err = run(capsys, ["witness", "W5", "--grid", "721"])
-        assert code == 1
-        assert "grid" in err
+    def test_bad_grid_spec(self, capsys, tmp_path):
+        refuses(capsys, tmp_path, "grid spec")
 
     @pytest.mark.parametrize(
         "valid,malformed",
@@ -1127,12 +1129,9 @@ class TestCliProperties:
         assert run_quiet(argv) == (code, out, err), argv
 
 
-@pytest.mark.parametrize("argv, code, err", [
-    (["spectrum", "--n", "4", "--mode", "both"], 2,
-     "symppt: numerical failure: spectrum: numeric degeneracy structure deviates from the closed form\n"),
-    (["qudit-check", "--d", "3", "--nmax", "1"], 1, "symppt: error: qudit-check: nmax must be >= 2, got 1\n"),
-], ids=["spectrum-degeneracy-mismatch", "qudit-check-nmax-1"])
-def test_command_error_messages(capsys, monkeypatch, argv, code, err):
-    # One level of full multiplicity: no closed-form spectrum with k >= 1 has that structure.
-    monkeypatch.setattr(cli, "_numeric_spectrum", lambda bip: Spectrum(((0.0, bip.dim),)))
-    assert run(capsys, argv) == (code, "", err)
+@pytest.mark.parametrize("case", sorted(REFUSALS["command"]))
+def test_command_error_messages(capsys, monkeypatch, tmp_path, case):
+    if case == "spectrum-degeneracy-mismatch":
+        # One level of full multiplicity: no closed-form spectrum with k >= 1 has that structure.
+        monkeypatch.setattr(cli, "_numeric_spectrum", lambda bip: Spectrum(((0.0, bip.dim),)))
+    refuses(capsys, tmp_path, "command", case)

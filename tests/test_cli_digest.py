@@ -3,7 +3,6 @@
 import ast
 import contextlib
 import hashlib
-import importlib.util
 import inspect
 import io
 import json
@@ -14,18 +13,13 @@ from pathlib import Path
 
 from symppt import cli
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+from conftest import ROOT, load_script
 
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("cli_digest", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+TOOL = "tools/cli_digest.py"
 
 
 def test_command_set(tmp_path):
-    argvs = load_tool().commands(tmp_path)
+    argvs = load_script(TOOL).commands(tmp_path)
     assert len(argvs) == len({tuple(argv) for argv in argvs}) == 524
     assert sum(argv[:1] == ["scan"] for argv in argvs) == 112
     assert sum("--witness-file" in argv for argv in argvs) == 18
@@ -33,10 +27,10 @@ def test_command_set(tmp_path):
 
 
 def test_command_set_holds_the_readme_examples(tmp_path):
-    readme = (TOOL.parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     examples = [shlex.split(line, comments=True)[1:] for line in readme.splitlines() if line.startswith("symppt ")]
     assert len(examples) == 8
-    argvs = load_tool().commands(tmp_path)
+    argvs = load_script(TOOL).commands(tmp_path)
     assert [argv for argv in examples if argv not in argvs] == []
 
 
@@ -59,7 +53,7 @@ def test_commands_run_every_function_line_of_cli(tmp_path):
     # __getattr__'s body (a numeric name read from outside before any numeric command) and
     # _json's final raise (a cell of a type no command makes).  Module-level code, the
     # __main__ guard among it, is not counted: it runs on import, before the trace.
-    tool, path, ran = load_tool(), cli.__file__, set()
+    tool, path, ran = load_script(TOOL), cli.__file__, set()
 
     def line(frame, event, arg):
         if event == "line":
@@ -92,8 +86,19 @@ def test_digest_hashes_exit_code_and_both_streams():
             code = cli.main(argv)
         expected.append(hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest())
     src = Path(cli.__file__).resolve().parents[1]
-    assert load_tool().digests(str(src), argvs) == expected
+    assert load_script(TOOL).digests(str(src), argvs) == expected
     assert expected[0] != expected[1]
+
+
+def test_digest_of_an_out_command_that_writes_no_file(tmp_path):
+    # table1 refuses --nmax 3 before it opens the --out path, and cannot open the empty path:
+    # the file's place in the record holds None.
+    argvs = [["table1", "--nmax", "3", "--out", str(tmp_path / "t.csv")], ["table1", "--nmax", "4", "--out", ""]]
+    records = [[1, "", "symppt: error: table1: nmax must lie in [4, 14], got 3\n", None],
+               [1, "", "symppt: error: [Errno 2] No such file or directory: ''\n", None]]
+    src = Path(cli.__file__).resolve().parents[1]
+    expected = [hashlib.sha256(json.dumps(record).encode()).hexdigest() for record in records]
+    assert load_script(TOOL).digests(str(src), argvs) == expected
 
 
 def test_run_side_writes_no_bytecode(tmp_path, monkeypatch):
@@ -103,5 +108,5 @@ def test_run_side_writes_no_bytecode(tmp_path, monkeypatch):
     copy = tmp_path / "src"
     shutil.copytree(src / "symppt", copy / "symppt", ignore=shutil.ignore_patterns("__pycache__"))
     argvs = [["table1", "--nmax", "4"], ["spectrum", "--n", "5", "--mode", "both"]]
-    assert load_tool().run_side(str(copy), argvs) == load_tool().digests(str(src), argvs)
+    assert load_script(TOOL).run_side(str(copy), argvs) == load_script(TOOL).digests(str(src), argvs)
     assert list(copy.rglob("__pycache__")) == []

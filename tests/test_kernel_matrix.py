@@ -1,20 +1,12 @@
 """tools/kernel_matrix.py: its settings and its summary."""
 
-import importlib.util
-from pathlib import Path
+from conftest import ROOT, load_script
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("kernel_matrix", ROOT / "tools" / "kernel_matrix.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+TOOL = "tools/kernel_matrix.py"
 
 
 def test_settings():
-    tool = load_tool()
+    tool = load_script(TOOL)
     runs = tool.settings()
     assert [variables for _, variables in runs[:5]] == [
         {"OPENBLAS_CORETYPE": core} for core in ("SkylakeX", "Haswell", "Zen", "Sandybridge", "Prescott")
@@ -28,7 +20,7 @@ def test_settings():
 
 
 def test_summary():
-    lines, status = load_tool().summary([
+    lines, status = load_script(TOOL).summary([
         ("OPENBLAS_CORETYPE=SkylakeX", 0, "111 passed in 9.1s"),
         ("OPENBLAS_CORETYPE=Haswell", 1, "4 failed, 107 passed in 9.3s"),
         ("OPENBLAS_CORETYPE=Prescott", -4, ""),
@@ -39,5 +31,5 @@ def test_summary():
         "OPENBLAS_CORETYPE=Prescott: unsupported (killed by signal 4)",
     ]
     assert status == 1
-    lines, status = load_tool().summary([("A", 0, "ok"), ("B", -11, "")])
+    lines, status = load_script(TOOL).summary([("A", 0, "ok"), ("B", -11, "")])
     assert (lines, status) == (["A: pass (ok)", "B: unsupported (killed by signal 11)"], 0)

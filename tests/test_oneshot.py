@@ -1,22 +1,15 @@
 """tools/oneshot.py: its command set is the README's CLI examples, and its runs."""
 
-import importlib.util
 import py_compile
 import shlex
 import shutil
 import sys
-from pathlib import Path
 
 from symppt import cli
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, load_script
 
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("oneshot", ROOT / "tools" / "oneshot.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+TOOL = "tools/oneshot.py"
 
 
 def readme_commands() -> list:
@@ -27,7 +20,7 @@ def readme_commands() -> list:
 
 
 def test_command_set():
-    commands = load_tool().COMMANDS
+    commands = load_script(TOOL).COMMANDS
     assert {cls: len(argvs) for cls, argvs in commands.items()} == {
         "exact": 3, "spectrum numeric": 1, "scan": 1, "qudit-check": 1, "witness --validate": 2,
     }
@@ -38,7 +31,7 @@ def test_command_set():
 
 def test_run_once_is_a_fresh_cli_process(capsys):
     argv = ["witness", "W5", "--threshold"]
-    seconds, code, out = load_tool().run_once(str(ROOT / "src"), argv)
+    seconds, code, out = load_script(TOOL).run_once(str(ROOT / "src"), argv)
     assert (code, out) == (cli.main(argv), capsys.readouterr().out)
     assert seconds > 0
 
@@ -53,7 +46,7 @@ def test_children_compile_the_tree_from_source(capsys, tmp_path, monkeypatch):
     source.write_text('print("stale bytecode")\n', encoding="utf-8")
     pyc = tree / "symppt" / "__pycache__" / f"__init__.{sys.implementation.cache_tag}.pyc"
     py_compile.compile(str(source), cfile=str(pyc), invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
-    tool = load_tool()
+    tool = load_script(TOOL)
     argv = ["witness", "W5", "--threshold"]
     expected = (cli.main(argv), capsys.readouterr().out)
     assert tool.run_once(str(tree), argv)[1:] == (expected[0], "stale bytecode\n" + expected[1])
@@ -63,5 +56,5 @@ def test_children_compile_the_tree_from_source(capsys, tmp_path, monkeypatch):
 
 
 def test_summary():
-    summary = load_tool().summary
+    summary = load_script(TOOL).summary
     assert summary([5.0, 1.0, 4.0, 2.0, 3.0]) == (3.0, 2.0)

@@ -9,44 +9,18 @@ side runs in a fresh interpreter that imports symppt from its own tree and
 calls ``symppt.cli.main(argv)`` in-process for every command, after clearing
 the CLI's per-process memo ``cli._once``.  A command's digest is the SHA-256
 of its exit code, stdout and stderr, and for an ``--out`` command also of the
-file it wrote, which is then removed; a command that raises ``SystemExit``
-(help) records the exit's code.  The script prints the command count and every
-argv whose digests differ, and exits 1 if any does.
+file it wrote, which is then removed, or of ``None`` where it wrote none; a
+command that raises ``SystemExit`` (help) records the exit's code.  The script
+prints the command count and every argv whose digests differ, and exits 1 if
+any does.
 
 No process writes bytecode, whatever PYTHONDONTWRITEBYTECODE says: each side
 runs as ``python -B``, and this process imports ``workloads`` with
 ``sys.dont_write_bytecode`` set.  Neither tree nor ``perfbench/`` gains a
 ``__pycache__``.
 
-The 524 commands, which run every line of ``cli.py``'s functions but
-``__getattr__``'s body and ``_json``'s final ``raise``:
-
-- the 108 ``qubit_scan`` operations of seed 7 (``perfbench/workloads.py``);
-- the 274 README reference commands, ``workloads.reference_argvs()``;
-- ``qudit-check --d {2,3,4} --nmax 15`` in CSV and JSON;
-- three qubit commands past n = 56, where the split-coefficient table holds
-  Python ints: ``qudit-check --d 2 --nmax 64``, ``spectrum --n 57 --mode
-  both`` and ``spectrum --n 60 --k 29 --mode numeric``;
-- ``witness W5|W7|W9`` as a report and with ``--validate``, at seven grids
-  from 3x1 to 2880x1440, in text and JSON;
-- two witness files, one with a positive and one with a negative corner, as
-  a JSON report and with ``--validate``, at four grids;
-- a witness file whose product-state minimum is -1, as a report and with
-  ``--validate``: each prints, then exits 2;
-- the README's eight CLI examples, verbatim, among them ``witness W5 --n 5
-  --p 0.96774``; ``witness W7 --p 0.999`` in JSON; ``qudit-check --d 4
-  --nmax 19``, which stops at the first n whose k = 1 cut is over the
-  dimension cap;
-- ``table1`` and a ``witness`` report with ``--out`` into the temporary
-  directory;
-- one refusal per argument check: no witness, a witness dim that does not
-  match ``--n``, ``table1 --nmax`` 3 and 15, an analytic denominator past the
-  print limit, a reversed ``scan`` p range, ``--steps`` 0 and past the cap,
-  ``qudit-check --nmax 1`` and a malformed ``--grid``;
-- argument errors and help: a bare ``symppt``, an unknown command, a missing
-  required flag, a bad ``--mode`` choice, ``--bogus 1``, the abbreviation
-  ``--form json``, the ``--n=6`` form, and ``-h`` at the top level and after
-  ``spectrum``.
+``commands()`` lists the argvs: they run every line of ``cli.py``'s functions
+but ``__getattr__``'s body and ``_json``'s final ``raise``.
 
 ``perfbench/workloads.py`` is only imported, never changed.
 """
@@ -156,8 +130,11 @@ def digests(src: str, argvs: list[list[str]]) -> list[str]:
         record = [code, stdout.getvalue(), stderr.getvalue()]
         if "--out" in argv:
             written = Path(argv[argv.index("--out") + 1])
-            record.append(written.read_text(encoding="utf-8"))
-            written.unlink()
+            if written.is_file():
+                record.append(written.read_text(encoding="utf-8"))
+                written.unlink()
+            else:
+                record.append(None)
         out.append(hashlib.sha256(json.dumps(record).encode()).hexdigest())
     return out
 

@@ -46,15 +46,21 @@ __all__ = [
 NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 PSD_TOL = 1e-10
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)  # the least int64, so min() finds it
 
 
-def _check_hermitian(mats: np.ndarray, tol: float, message: str) -> None:
+def _check_hermitian(mats: np.ndarray, tol: float, message: str) -> bool:
     """Raise ValueError(message) unless each matrix of mats, one or a stack, is Hermitian within
-    tol; nan and inf fail.  |diff| is taken in place for real input, in a new array for complex."""
+    tol; nan and inf fail.  Return True, skipping the |diff| pass, if mats is exactly Hermitian and
+    holds no -0.0, which (M + Mᴴ)/2 may turn to +0.0: then (M + Mᴴ)/2 is M bit for bit, short of
+    overflow, and need not be built.  |diff| is taken in place for real input, in a new array for complex."""
     with np.errstate(invalid="ignore"):  # inf - inf gives nan, which fails the test below
         diff = mats - mats.conj().swapaxes(-1, -2)
+    if not diff.any():  # nan and inf leave diff nonzero
+        return bool(mats.ravel().view(np.int64).min(initial=0) != _NEGATIVE_ZERO)
     if not (np.abs(diff, out=None if np.iscomplexobj(diff) else diff).max(axis=(-2, -1)) <= tol).all():
         raise ValueError(message)
+    return False
 
 
 def _dimension(obj, sectors, space, shape) -> int:
@@ -66,14 +72,15 @@ def _dimension(obj, sectors, space, shape) -> int:
     return math.prod(symmetric_dimension(n, d) for n, d in sectors)
 
 
-def _store_matrices(obj, mat: np.ndarray, sectors, space) -> None:
+def _store_matrices(obj, mat: np.ndarray, sectors, space) -> bool:
     """Set obj.matrix to mat, one (dim, dim) matrix or a (count, dim, dim) stack, each Hermitian
-    within HERM_TOL, dim = _dimension(obj, sectors, ...).  The messages name obj's class and space."""
+    within HERM_TOL, dim = _dimension(obj, sectors, ...).  The messages name obj's class and space.
+    Return _check_hermitian's verdict: True if mat is exactly Hermitian."""
     object.__setattr__(obj, "matrix", mat)
     who, dim = type(obj).__name__, _dimension(obj, sectors, space, mat.shape)
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
         raise ValueError(f"{who}: expected {dim}x{dim} for {space}, got {mat.shape}")
-    _check_hermitian(mat, HERM_TOL, f"{who}: matrix is not Hermitian within {HERM_TOL}")
+    return _check_hermitian(mat, HERM_TOL, f"{who}: matrix is not Hermitian within {HERM_TOL}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,12 +149,13 @@ class SymmetricDensityMatrix:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        _store_matrices(self, mat, [(self.n, self.d)], f"(n={self.n}, d={self.d})")
+        exact = _store_matrices(self, mat, [(self.n, self.d)], f"(n={self.n}, d={self.d})")
         traces = np.trace(mat, axis1=-2, axis2=-1)
         bad = traces[~(np.abs(traces - 1.0) <= NORM_TOL)]
         if bad.size:
             raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
-        if not np.linalg.eigvalsh((mat + mat.conj().swapaxes(-1, -2)) / 2).min() >= -PSD_TOL:
+        herm = mat if exact else (mat + mat.conj().swapaxes(-1, -2)) / 2
+        if not np.linalg.eigvalsh(herm).min() >= -PSD_TOL:
             raise ValueError(f"SymmetricDensityMatrix: negative eigenvalue beyond {PSD_TOL}")
 
     @property

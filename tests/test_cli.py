@@ -339,9 +339,10 @@ class TestSpectrum:
         refuses(capsys, tmp_path, "spectrum --k")
 
     def test_numeric_spectrum_holds_one_real_matrix(self, capsys):
-        # The dense float64 matrix is dim^2 * 8 bytes; its Hermitian check takes its
-        # absolute value in place, so the check and the eigensolver's copy each hold
-        # one more of it, never both at once.
+        # The dense float64 matrix is dim^2 * 8 bytes; its Hermitian check holds one
+        # difference of it and, the matrix being exactly Hermitian, takes no |.| of it
+        # (inexact real input takes it in place), so the check and the eigensolver's
+        # copy each hold one more of it, never both at once.
         # The memo is cleared first, so the cut is really assembled and diagonalised.
         dim = Bipartition(60, 30).dim
         cli._once.cache_clear()

@@ -1,5 +1,7 @@
 """Exact combinatorics: binomials, split coefficients, thresholds."""
 
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from symppt import (
     sappt_threshold_qudits,
     symmetric_dimension,
 )
+from symppt.combx import print_limit_exceeded
 
 from oracles import pascal_triangle, vandermonde_convolution_sides
 
@@ -193,3 +196,29 @@ def test_domain_error_messages(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+# Sums of t at 3 * 640 - 1, 3 * 640 and 3 * 640 + 1, where the shortcut for sum t <= 3 limit
+# stops; then the cuts either side of the largest printable (n+1) C(n, n/2) at limit 640,
+# C(2131, 1065) and C(2132, 1066) with 640 and 641 digits, and C(2560, 1280) with 769.
+PRINT_LIMIT_PAIRS = [
+    [(1919, 959)], [(1920, 960)], [(1921, 960)], [(1921, 1)],
+    [(960, 480), (959, 479)], [(960, 480), (960, 480)], [(961, 480), (960, 480)],
+    [(640, 320), (640, 320), (639, 1)], [(640, 320), (640, 320), (640, 1)], [(641, 320), (640, 320), (640, 1)],
+    [(2121, 1), (2120, 1060)], [(2122, 1), (2121, 1060)], [(2131, 1065)], [(2132, 1066)], [(2560, 1280)],
+]
+
+
+@pytest.mark.parametrize("pairs", PRINT_LIMIT_PAIRS, ids=lambda pairs: "+".join(f"C{t},{r}" for t, r in pairs))
+def test_print_limit_exceeded_agrees_with_the_digit_count(pairs):
+    digits = len(str(math.prod(math.comb(t, r) for t, r in pairs)))  # under the default limit, 4300
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert print_limit_exceeded(*pairs) == (640 if digits > 640 else 0)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_print_limit_pairs_straddle_the_shortcut():
+    assert {sum(t for t, _ in pairs) - 3 * 640 for pairs in PRINT_LIMIT_PAIRS[:10]} == {-1, 0, 1}

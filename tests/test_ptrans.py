@@ -1,6 +1,7 @@
 """Partial transposition, analytic spectra, ladder operators, bounds."""
 
 import math
+import re
 import struct
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from symppt import (
     symmetric_dimension,
 )
 from symppt.ptrans import DIM_CAP, _weight_stacks
+from symppt.symstate import _check_hermitian
 
 from oracles import (
     compositions,
@@ -195,6 +197,70 @@ class TestStackedMinEigenvalues:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(RuntimeError, match="residual"):
             min_eigenvalue(op)
+
+    def test_bad_eigenpair_of_scaled_stack(self, monkeypatch):
+        # The residual bound scales with max |lam|, and so does the residual a tilted
+        # unit eigenvector leaves: the tilt still fails the check at scale 1e8.
+        op = hermitian_stack(Bipartition(5, 2), 5, 2)
+        op = BipartiteOperator(op.bipartition, 1e8 * op.matrix)
+        min_eigenvalue(op)
+        monkeypatch.setattr(np.linalg, "eigh", tilted_eigh)
+        with pytest.raises(RuntimeError, match=r"^min_eigenvalue: eigenpair residual \S+ exceeds \S+$"):
+            min_eigenvalue(op)
+
+    @pytest.mark.parametrize("n, k", [(9, 4), (20, 10), (40, 20)])
+    def test_scaled_operator_passes_the_residual_check(self, n, k):
+        # eigh's residual and error are of the order of eps * max |lam|, max |lam| <= 1e8 / 6
+        # here: 1.2e-9 for (9, 4), over a bound of 1e-10 that ignored the operator's scale.
+        bip = Bipartition(n, k)
+        lam = min_eigenvalue(BipartiteOperator(bip, 1e8 * maxmixed_pt(bip).matrix))
+        assert lam == pytest.approx(1e8 * float(maxmixed_pt_spectrum(bip).entries[0][0]), abs=1e-6)
+
+    def test_residual_message_names_the_bound(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", tilted_eigh)
+        with pytest.raises(RuntimeError) as info:
+            min_eigenvalue(maxmixed_pt(Bipartition(9, 4)))
+        assert re.fullmatch(r"min_eigenvalue: eigenpair residual \d\.\d\de-\d\d exceeds 1e-10", str(info.value))
+
+
+def scan_chunk(n: int, k: int, count: int) -> BipartiteOperator:
+    """A chunk of scan's stack, p U + (1 - p) G over count p of a 201-step grid on [0, 1]."""
+    bip = Bipartition(n, k)
+    ghz = partial_transpose_a(embed_bipartite(mix_with_identity(n, 0.0, ghz_state(n, sign=+1)), bip)).matrix
+    p = np.linspace(0.0, 1.0, 201)[:count, None, None]
+    return BipartiteOperator(bip, p * maxmixed_pt(bip).matrix + (1 - p) * ghz)
+
+
+class TestExactlyHermitianInput:
+    """An exactly Hermitian stack goes to eigh as it is, an inexact one symmetrized:
+    either way eigh sees (M + M^H)/2 bit for bit, and returns the same bytes."""
+
+    CASES = {
+        "random": lambda: hermitian_stack(Bipartition(9, 4), 9, 30),
+        "scan-W5": lambda: scan_chunk(5, 2, 201),
+        "scan-W9": lambda: scan_chunk(9, 4, 70),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "within-tolerance"])
+    def test_eigh_sees_the_symmetrized_stack(self, monkeypatch, case, perturbed):
+        op = self.CASES[case]()
+        mats = op.matrix
+        if perturbed:
+            mats[:, 0, 1] += 5e-11
+        assert _check_hermitian(mats, 1e-10, "") is not perturbed
+        herm = (mats + mats.conj().swapaxes(-1, -2)) / 2
+        seen = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            seen.append(a.tobytes())
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        lams = min_eigenvalue(op)
+        assert seen == [herm.tobytes()]
+        assert lams.tobytes() == eigh(herm)[0][:, 0].tobytes()
 
 
 class TestMaxmixedPt:

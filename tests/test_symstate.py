@@ -617,6 +617,56 @@ class TestStackedChecks:
             SymmetricDensityMatrix(5, 2, np.zeros(shape))
 
 
+class TestExactlyHermitianInput:
+    """The Hermitian check tells exact input from input within tolerance; the PSD step of
+    SymmetricDensityMatrix hands eigvalsh (M + M^H)/2 bit for bit either way."""
+
+    def test_verdicts(self):
+        mats = mix_with_identity(5, np.linspace(0.0, 1.0, 7), ghz_state(5, sign=+1)).matrix
+        assert symstate._check_hermitian(mats, 1e-12, "") is True
+        assert symstate._check_hermitian(maxmixed_pt(Bipartition(5, 2)).matrix, 1e-12, "") is True
+        mats[3, 0, 5] += 5e-13
+        assert symstate._check_hermitian(mats, 1e-12, "") is False
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exact_verdict_means_symmetrization_changes_no_bit(self, dtype):
+        # Parts drawn from {0, 1, -1}, mirrored into a Hermitian matrix, then each zero given a
+        # random sign: (-0.0 + 0.0) / 2 and complex division by 2 can turn -0.0 to +0.0.
+        rng = np.random.default_rng(3)
+        verdicts = set()
+        for _ in range(500):
+            mat = rng.integers(-1, 2, (4, 4)).astype(dtype)
+            if dtype is complex:
+                mat += 1j * rng.integers(-1, 2, (4, 4))
+            mat = np.triu(mat, 1) + np.triu(mat, 1).conj().T + np.diag(mat.diagonal().real)
+            parts = mat.view(float)
+            zeros = parts == 0
+            parts[zeros] = np.where(rng.random(zeros.sum()) < 0.8, 0.0, -0.0)
+            exact = symstate._check_hermitian(mat, 1e-12, "")
+            verdicts.add(exact)
+            if exact:
+                assert ((mat + mat.conj().T) / 2).tobytes() == mat.tobytes()
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "within-tolerance"])
+    def test_eigvalsh_sees_the_symmetrized_stack(self, monkeypatch, perturbed):
+        mats = mix_with_identity(6, np.linspace(0.0, 1.0, 9), ghz_state(6, sign=+1)).matrix
+        if perturbed:
+            mats[:, 0, 1] += 5e-13
+        herm = (mats + mats.conj().swapaxes(-1, -2)) / 2
+        assert (herm.tobytes() == mats.tobytes()) is not perturbed
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            seen.append(a.tobytes())
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        SymmetricDensityMatrix(6, 2, mats)
+        assert seen == [herm.tobytes()]
+
+
 class TestJson:
     def test_wire_format(self):
         import json

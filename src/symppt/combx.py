@@ -77,14 +77,11 @@ def symmetric_dimension(n: int, d: int) -> int:
 def print_limit_exceeded(*binomials) -> int:
     """sys.get_int_max_str_digits() if the product of C(t, r) over the (t, r) pairs has more digits
     than that limit, else 0; also 0 with no limit or unless 1 <= r <= t.  operator.index reads t and r.
-    With sum t <= 3 limit the product is at most 2^(sum t) <= 8^limit < 10^limit: 0 at once.
     For r <= t/2, r log10(t/r) <= log10 C(t, r) <= r log10(e t/r): exact only near the limit."""
     limit = sys.get_int_max_str_digits()
     if not limit or not all(1 <= r <= t for t, r in binomials):
         return 0
     pairs = [(t, min(r, t - r)) for t, r in (map(operator.index, pair) for pair in binomials)]
-    if sum(t for t, _ in pairs) <= 3 * limit:
-        return 0
     # log10(t/r) >= 0.3, so capping r at 4 limit keeps low past limit + 1 and r in double range
     low = sum(min(r, 4 * limit) * (math.log10(t) - math.log10(r)) for t, r in pairs if r)
     if low < limit + 1 and (low + sum(r for _, r in pairs) * math.log10(math.e) < limit - 1

@@ -29,6 +29,7 @@ from .symstate import (
     BipartiteOperator,
     PureSymmetricState,
     _check_hermitian,
+    _hermitian_part,
     _label_keys,
     dicke_decomposition,  # unused here; perfbench/tracing.py wraps ptrans.dicke_decomposition
     dicke_labels,  # unused here; perfbench/tracing.py wraps ptrans.dicke_labels
@@ -91,24 +92,23 @@ def partial_transpose_a(op: BipartiteOperator) -> BipartiteOperator:
 def min_eigenvalue(op: BipartiteOperator):
     """Smallest eigenvalue of a Hermitian bipartite operator; for a stack, an array of one per matrix.
 
-    An exactly Hermitian input goes to eigh as it is; an input Hermitian only within
-    PT_HERM_TOL is symmetrized first, to guard against accumulated assembly rounding.
-    Either way eigh sees (M + Mᴴ)/2 bit for bit.  Each returned eigenpair is verified
+    eigh sees (M + Mᴴ)/2 bit for bit, built by symstate._hermitian_part only for input
+    Hermitian within PT_HERM_TOL but not exactly, to guard against accumulated assembly
+    rounding; exactly Hermitian input goes to eigh as it is.  Each returned eigenpair is verified
     to satisfy ||H v - lam v|| <= RESIDUAL_TOL * max(1, max |lam|), the largest |lam|
     of its own matrix.  numpy's eigh diagonalizes a stack matrix by matrix with the
     same LAPACK call, so each value is bitwise that of the matrix alone.
     """
     mats = op.matrix
     exact = _check_hermitian(mats, PT_HERM_TOL, f"min_eigenvalue: operator is not Hermitian within {PT_HERM_TOL}")
-    herm = mats if exact else (mats + mats.conj().swapaxes(-1, -2)) / 2
+    herm = _hermitian_part(mats, exact)
     w, v = np.linalg.eigh(herm)
     vec = v[..., :1]
     residual = np.linalg.norm(herm @ vec - w[..., None, :1] * vec, axis=(-2, -1))
-    if (residual > RESIDUAL_TOL).any():  # each matrix's bound is at least RESIDUAL_TOL
-        tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(w[..., [0, -1]]).max(axis=-1))
-        over = residual > tol
-        if over.any():
-            raise RuntimeError(f"min_eigenvalue: eigenpair residual {residual[over][0]:.3g} exceeds {tol[over][0]:.3g}")
+    tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(w[..., [0, -1]]).max(axis=-1))
+    over = residual > tol
+    if over.any():
+        raise RuntimeError(f"min_eigenvalue: eigenpair residual {residual[over][0]:.3g} exceeds {tol[over][0]:.3g}")
     return w[:, 0] if mats.ndim == 3 else float(w[0])
 
 

@@ -51,16 +51,24 @@ _NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)  # the least int64, so min() fi
 
 def _check_hermitian(mats: np.ndarray, tol: float, message: str) -> bool:
     """Raise ValueError(message) unless each matrix of mats, one or a stack, is Hermitian within
-    tol; nan and inf fail.  Return True, skipping the |diff| pass, if mats is exactly Hermitian and
-    holds no -0.0, which (M + Mᴴ)/2 may turn to +0.0: then (M + Mᴴ)/2 is M bit for bit, short of
-    overflow, and need not be built.  |diff| is taken in place for real input, in a new array for complex."""
+    tol; nan and inf fail.  Return True, skipping the |diff| pass, if mats is exactly Hermitian.
+    |diff| is taken in place for real input, in a new array for complex."""
     with np.errstate(invalid="ignore"):  # inf - inf gives nan, which fails the test below
         diff = mats - mats.conj().swapaxes(-1, -2)
     if not diff.any():  # nan and inf leave diff nonzero
-        return bool(mats.ravel().view(np.int64).min(initial=0) != _NEGATIVE_ZERO)
+        return True
     if not (np.abs(diff, out=None if np.iscomplexobj(diff) else diff).max(axis=(-2, -1)) <= tol).all():
         raise ValueError(message)
     return False
+
+
+def _hermitian_part(mats: np.ndarray, exact: bool) -> np.ndarray:
+    """(M + Mᴴ)/2 bit for bit, for mats that _check_hermitian passed with verdict exact.  Exactly
+    Hermitian mats with no -0.0, which (M + Mᴴ)/2 may turn to +0.0, are returned as they are:
+    then (a + a)/2 = a, short of overflow, and the copy need not be built."""
+    if exact and mats.ravel().view(np.int64).min(initial=0) != _NEGATIVE_ZERO:
+        return mats
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2
 
 
 def _dimension(obj, sectors, space, shape) -> int:
@@ -154,8 +162,7 @@ class SymmetricDensityMatrix:
         bad = traces[~(np.abs(traces - 1.0) <= NORM_TOL)]
         if bad.size:
             raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
-        herm = mat if exact else (mat + mat.conj().swapaxes(-1, -2)) / 2
-        if not np.linalg.eigvalsh(herm).min() >= -PSD_TOL:
+        if not np.linalg.eigvalsh(_hermitian_part(mat, exact)).min() >= -PSD_TOL:
             raise ValueError(f"SymmetricDensityMatrix: negative eigenvalue beyond {PSD_TOL}")
 
     @property

@@ -629,11 +629,11 @@ class TestExactlyHermitianInput:
         assert symstate._check_hermitian(mats, 1e-12, "") is False
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_exact_verdict_means_symmetrization_changes_no_bit(self, dtype):
+    def test_hermitian_part_is_the_symmetrized_matrix_bit_for_bit(self, dtype):
         # Parts drawn from {0, 1, -1}, mirrored into a Hermitian matrix, then each zero given a
         # random sign: (-0.0 + 0.0) / 2 and complex division by 2 can turn -0.0 to +0.0.
         rng = np.random.default_rng(3)
-        verdicts = set()
+        returned_as_is = set()
         for _ in range(500):
             mat = rng.integers(-1, 2, (4, 4)).astype(dtype)
             if dtype is complex:
@@ -642,11 +642,10 @@ class TestExactlyHermitianInput:
             parts = mat.view(float)
             zeros = parts == 0
             parts[zeros] = np.where(rng.random(zeros.sum()) < 0.8, 0.0, -0.0)
-            exact = symstate._check_hermitian(mat, 1e-12, "")
-            verdicts.add(exact)
-            if exact:
-                assert ((mat + mat.conj().T) / 2).tobytes() == mat.tobytes()
-        assert verdicts == {True, False}
+            part = symstate._hermitian_part(mat, symstate._check_hermitian(mat, 1e-12, ""))
+            assert part.tobytes() == ((mat + mat.conj().T) / 2).tobytes()
+            returned_as_is.add(part is mat)
+        assert returned_as_is == {True, False}
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "within-tolerance"])
     def test_eigvalsh_sees_the_symmetrized_stack(self, monkeypatch, perturbed):

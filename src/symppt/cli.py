@@ -124,7 +124,14 @@ def _json(x, indent: str) -> str:
 
 
 def _limit(what: str, value: float, tol: float) -> str:
-    return f"{what} {value} exceeds {tol}" if value > tol else ""
+    """The violation `value` makes against `tol`: a nan value is one."""
+    return "" if value <= tol else f"{what} {value} exceeds {tol}"
+
+
+def _worst(values) -> float:
+    """max(values), 0.0 for none, and nan if any value is nan: the builtin max keeps or drops a
+    nan by where it falls."""
+    return max(values, key=lambda v: (math.isnan(v), v), default=0.0)
 
 
 def _render(table: Table, fmt: str) -> str:
@@ -203,7 +210,7 @@ def cmd_spectrum(args) -> Table:
     rows = []
     for (va, m), (vn, _) in zip(analytic.entries, numeric.entries):
         rows.append((va, vn, m, abs(float(va) - vn)))
-    max_dev = max(row[3] for row in rows)
+    max_dev = _worst(row[3] for row in rows)
     violation = _limit("spectrum: max deviation", max_dev, SPECTRUM_BOTH_TOL)
     columns = ("analytic", "numeric", "multiplicity", "abs_deviation")
     csv_columns = ("analytic_value", "numeric_value", "multiplicity", "abs_deviation")
@@ -226,7 +233,11 @@ def cmd_scan(args) -> Table:
         raise ValueError(f"scan: steps must be <= {SCAN_STEPS_CAP}, got {args.steps}")
     w, n = _resolve_witness(args)
     bip = Bipartition(n, args.k if args.k is not None else n // 2)
-    p_min = float(sappt_threshold_qubits(n))
+    # sapt is Fraction(p) >= p_min, exactly: p >= sapt_from, the least float >= p_min.
+    p_min = sappt_threshold_qubits(n)
+    sapt_from = float(p_min)
+    if Fraction(sapt_from) < p_min:
+        sapt_from = math.nextafter(sapt_from, math.inf)
 
     # rho(p)^T_A is affine in p: combine the transposed uniform part and the
     # transposed GHZ projector once per p instead of re-embedding.
@@ -243,8 +254,10 @@ def cmd_scan(args) -> Table:
     step = _scan_chunk(bip.dim)
     for chunk in (ps[i:i + step] for i in range(0, len(ps), step)):
         p = chunk[:, None, None]
-        lams += min_eigenvalue(BipartiteOperator(bip, p * pt_uniform + (1 - p) * pt_ghz)).tolist()
-    rows = [(p, tr, lam, p >= p_min - 1e-12, tr < 0) for p, tr, lam in zip(ps.tolist(), trs, lams)]
+        stack = p * pt_uniform + (1 - p) * pt_ghz
+        stack.flags.writeable = False  # as symstate._frozen: the container keeps it without a copy
+        lams += min_eigenvalue(BipartiteOperator(bip, stack)).tolist()
+    rows = [(p, tr, lam, p >= sapt_from, tr < 0) for p, tr, lam in zip(ps.tolist(), trs, lams)]
     columns = ("p", "witness_expectation", "lambda_min", "sapt", "witness_detects")
     return Table({"n": n, "k": bip.k, "witness": w.name}, "rows", columns, rows)
 
@@ -253,8 +266,7 @@ def cmd_qudit_check(args) -> Table:
     _numeric()
     if args.nmax < 2:
         raise ValueError(f"qudit-check: nmax must be >= 2, got {args.nmax}")
-    rows = []
-    worst_ratio = 0.0
+    rows, ratios = [], []
     # S(m) = C(m + d - 1, d - 1) = prod_i (m + i) / i is log-concave in m, so
     # log dim(n, k) = log S(k) + log S(n - k) is concave in k and symmetric about n/2:
     # nondecreasing on 1 <= k <= n/2, so past the first k over the cap every k is.
@@ -273,11 +285,11 @@ def cmd_qudit_check(args) -> Table:
             # size <= min(dim_a, dim_b), and partial transposition keeps the
             # Frobenius norm, so norm <= that of the uniform state, D^(-1/2).
             rounding = min(bip.dim_a, bip.dim_b) * EPS / math.sqrt(symmetric_dimension(n, args.d))
-            worst_ratio = max(worst_ratio, delta / (QUDIT_CHECK_REL_TOL * float(conjectured) + rounding))
+            ratios.append(delta / (QUDIT_CHECK_REL_TOL * float(conjectured) + rounding))
             rows.append((n, k, bip.dim, numeric, conjectured, delta))
-    worst = max((row[5] for row in rows), default=0.0)
+    worst = _worst(row[5] for row in rows)
     what = f"qudit-check: max |delta| / ({QUDIT_CHECK_REL_TOL} * conjectured + eigensolver rounding)"
-    violation = _limit(what, worst_ratio, 1.0)
+    violation = _limit(what, _worst(ratios), 1.0)
     total = args.nmax**2 // 4
     skipped = total - len(rows)
     note = ""

@@ -28,7 +28,7 @@ from .combx import Bipartition, symmetric_dimension
 from .symstate import (
     BipartiteOperator,
     PureSymmetricState,
-    _check_hermitian,
+    _frozen,
     _hermitian_part,
     _label_keys,
     dicke_decomposition,  # unused here; perfbench/tracing.py wraps ptrans.dicke_decomposition
@@ -56,7 +56,6 @@ __all__ = [
 
 # Unused here; perfbench/tracing.py install patches ptrans.Spectrum.from_eigenvalues.
 Spectrum = combx.Spectrum
-PT_HERM_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 DIM_CAP = 5000
 
@@ -85,23 +84,24 @@ def partial_transpose_a(op: BipartiteOperator) -> BipartiteOperator:
     """
     da, db = op.bipartition.dim_a, op.bipartition.dim_b
     split = op.matrix.reshape(*op.matrix.shape[:-2], da, db, da, db)
-    # da, db >= 2, so the reshape of the transposed view is a copy.
-    return BipartiteOperator(op.bipartition, split.swapaxes(-4, -2).reshape(op.matrix.shape))
+    # Copy the transposed view, then reshape: a view of a read-only copy, which the container keeps.
+    mat = _frozen(split.swapaxes(-4, -2).copy())
+    return BipartiteOperator(op.bipartition, mat.reshape(op.matrix.shape))
 
 
 def min_eigenvalue(op: BipartiteOperator):
     """Smallest eigenvalue of a Hermitian bipartite operator; for a stack, an array of one per matrix.
 
-    eigh sees (M + Mᴴ)/2 bit for bit, built by symstate._hermitian_part only for input
-    Hermitian within PT_HERM_TOL but not exactly, to guard against accumulated assembly
-    rounding; exactly Hermitian input goes to eigh as it is.  Each returned eigenpair is verified
+    eigh sees (M + Mᴴ)/2 bit for bit, built by symstate._hermitian_part from the verdict op's
+    constructor recorded: only for a matrix Hermitian within symstate.HERM_TOL but not exactly;
+    exactly Hermitian input goes to eigh as it is.  op.matrix is read-only, so that check, made
+    once at construction, still holds and is not repeated here.  Each returned eigenpair is verified
     to satisfy ||H v - lam v|| <= RESIDUAL_TOL * max(1, max |lam|), the largest |lam|
     of its own matrix.  numpy's eigh diagonalizes a stack matrix by matrix with the
     same LAPACK call, so each value is bitwise that of the matrix alone.
     """
     mats = op.matrix
-    exact = _check_hermitian(mats, PT_HERM_TOL, f"min_eigenvalue: operator is not Hermitian within {PT_HERM_TOL}")
-    herm = _hermitian_part(mats, exact)
+    herm = _hermitian_part(mats, op._exactly_hermitian)
     w, v = np.linalg.eigh(herm)
     vec = v[..., :1]
     residual = np.linalg.norm(herm @ vec - w[..., None, :1] * vec, axis=(-2, -1))
@@ -123,7 +123,7 @@ def maxmixed_pt(bip: Bipartition) -> BipartiteOperator:
     mat = np.zeros((bip.dim, bip.dim))
     for members, stack in stacks:
         mat[members[:, :, None], members[:, None, :]] = stack
-    return BipartiteOperator(bip, mat)
+    return BipartiteOperator(bip, _frozen(mat))
 
 
 def maxmixed_pt_blocks(bip: Bipartition):

@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -80,15 +80,40 @@ def _dimension(obj, sectors, space, shape) -> int:
     return math.prod(symmetric_dimension(n, d) for n, d in sectors)
 
 
-def _store_matrices(obj, mat: np.ndarray, sectors, space) -> bool:
-    """Set obj.matrix to mat, one (dim, dim) matrix or a (count, dim, dim) stack, each Hermitian
-    within HERM_TOL, dim = _dimension(obj, sectors, ...).  The messages name obj's class and space.
-    Return _check_hermitian's verdict: True if mat is exactly Hermitian."""
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    """mat, marked read-only: how the library hands a container an array it has just built and
+    holds no other reference to, so that the container keeps it without a copy."""
+    mat.flags.writeable = False
+    return mat
+
+
+def _sealed(mat) -> bool:
+    """True if mat is an ndarray whose memory no array can write: mat and every ndarray in its
+    base chain are read-only, and the chain ends in an array that owns its data."""
+    while isinstance(mat, np.ndarray) and not mat.flags.writeable:
+        if mat.base is None:
+            return True
+        mat = mat.base
+    return False
+
+
+def _store_matrices(obj, raw, dtype, sectors, space) -> None:
+    """Set obj.matrix to raw as a dtype array, one (dim, dim) matrix or a (count, dim, dim) stack,
+    each Hermitian within HERM_TOL, dim = _dimension(obj, sectors, ...), and obj._exactly_hermitian
+    to _check_hermitian's verdict.  The messages name obj's class and space.  The stored array is
+    read-only, so each check holds for the container's life and no consumer repeats it: raw as it
+    is if it is a _sealed dtype ndarray (a caller who sets a flag back to writeable breaks this),
+    else one read-only converted copy, and the caller's array stays writeable."""
+    if type(raw) is np.ndarray and raw.dtype == dtype and _sealed(raw):
+        mat = raw
+    else:
+        mat = _frozen(np.array(raw, dtype=dtype))
     object.__setattr__(obj, "matrix", mat)
     who, dim = type(obj).__name__, _dimension(obj, sectors, space, mat.shape)
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
         raise ValueError(f"{who}: expected {dim}x{dim} for {space}, got {mat.shape}")
-    return _check_hermitian(mat, HERM_TOL, f"{who}: matrix is not Hermitian within {HERM_TOL}")
+    exact = _check_hermitian(mat, HERM_TOL, f"{who}: matrix is not Hermitian within {HERM_TOL}")
+    object.__setattr__(obj, "_exactly_hermitian", exact)
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,33 +166,39 @@ class PureSymmetricState:
         return self.amplitudes.shape[0]
 
     def density(self) -> "SymmetricDensityMatrix":
-        return SymmetricDensityMatrix(self.n, self.d, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return SymmetricDensityMatrix(self.n, self.d, _frozen(np.outer(self.amplitudes, self.amplitudes.conj())))
 
 
 @dataclass(frozen=True)
 class SymmetricDensityMatrix:
     """Density matrix on the symmetric sector: Hermitian, unit trace, PSD.
 
-    ``matrix`` is one (D, D) matrix or a (count, D, D) stack, each checked.
+    ``matrix`` is one (D, D) matrix or a (count, D, D) stack, each checked once, here; it is
+    read-only (see _store_matrices).
     """
 
     n: int
     d: int
     matrix: np.ndarray
+    _exactly_hermitian: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        exact = _store_matrices(self, mat, [(self.n, self.d)], f"(n={self.n}, d={self.d})")
+        _store_matrices(self, self.matrix, np.complex128, [(self.n, self.d)], f"(n={self.n}, d={self.d})")
+        mat = self.matrix
         traces = np.trace(mat, axis1=-2, axis2=-1)
         bad = traces[~(np.abs(traces - 1.0) <= NORM_TOL)]
         if bad.size:
             raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
-        if not np.linalg.eigvalsh(_hermitian_part(mat, exact)).min() >= -PSD_TOL:
+        if not np.linalg.eigvalsh(_hermitian_part(mat, self._exactly_hermitian)).min() >= -PSD_TOL:
             raise ValueError(f"SymmetricDensityMatrix: negative eigenvalue beyond {PSD_TOL}")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor: numpy copies an array writeable.
+        return type(self), (self.n, self.d, self.matrix)
 
 
 @dataclass(frozen=True)
@@ -177,21 +208,27 @@ class BipartiteOperator:
     Row index i = a * dim_b + b for A-side label index a and B-side label
     index b (row-major, A first).  The convention is fixed so that partial
     transposition and file dumps are reproducible bit for bit.  ``matrix`` is one
-    (dim, dim) matrix or a (count, dim, dim) stack, each checked.  Real input
-    (bool, int or float) is stored as float64, complex input as complex128.
+    (dim, dim) matrix or a (count, dim, dim) stack, each checked once, here; it is
+    read-only (see _store_matrices).  Real input (bool, int or float) is stored as
+    float64, complex input as complex128.
     """
 
     bipartition: Bipartition
     matrix: np.ndarray
+    _exactly_hermitian: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
+        dtype = np.complex128 if np.iscomplexobj(self.matrix) else np.float64
         bip = self.bipartition
-        _store_matrices(self, mat, [(bip.k, bip.d), (bip.n - bip.k, bip.d)], bip)
+        _store_matrices(self, self.matrix, dtype, [(bip.k, bip.d), (bip.n - bip.k, bip.d)], bip)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
+
+    def __reduce__(self):
+        # As SymmetricDensityMatrix.__reduce__.
+        return type(self), (self.bipartition, self.matrix)
 
 
 def dicke_decomposition(bip: Bipartition, label) -> list:
@@ -282,7 +319,7 @@ def mix_with_identity(n: int, p, psi: PureSymmetricState) -> SymmetricDensityMat
         raise ValueError(f"mix_with_identity: p must lie in [0, 1], got {bad[0]}")
     mat = (p / psi.dim) * np.eye(psi.dim, dtype=complex)
     mat += (1 - p) * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return SymmetricDensityMatrix(n, psi.d, mat)
+    return SymmetricDensityMatrix(n, psi.d, _frozen(mat))
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,7 +382,7 @@ def embed_bipartite(rho: SymmetricDensityMatrix, bip: Bipartition) -> BipartiteO
             f"embed_bipartite: state (n={rho.n}, d={rho.d}) does not match {bip}"
         )
     v = embedding_matrix(bip.n, bip.k, bip.d)
-    return BipartiteOperator(bip, v @ rho.matrix @ v.T)
+    return BipartiteOperator(bip, _frozen(v @ rho.matrix @ v.T))
 
 
 def embed_pure(psi: PureSymmetricState, bip: Bipartition) -> np.ndarray:

@@ -185,6 +185,29 @@ def tilted_eigh(a, *args, **kwargs):
     return w, v
 
 
+def refused_in_place(container, write, rebuild) -> str:
+    """A container's matrix is read-only: write(container.matrix) raises numpy's ValueError (an
+    item assignment or an in-place ufunc) and changes no entry.  Returns the message of the
+    ValueError with which rebuild, the container's constructor, refuses a copy that write did
+    change."""
+    before = container.matrix.tobytes()
+    try:
+        write(container.matrix)
+    except ValueError as exc:
+        assert str(exc) in ("assignment destination is read-only", "output array is read-only")
+    else:
+        raise AssertionError("a write into a container's matrix succeeded")
+    assert container.matrix.tobytes() == before
+    mat = container.matrix.copy()
+    write(mat)
+    assert mat.tobytes() != before
+    try:
+        rebuild(mat)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("the constructor accepted the changed matrix")
+
+
 def scan_rows_per_p(w, n: int, k: int, p_from: float, p_to: float, steps: int) -> list:
     """The rows of ``symppt scan``, one p at a time through the single-object API.
 

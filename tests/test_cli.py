@@ -26,6 +26,7 @@ from symppt import (
     builtin_witness,
     cli,
     maxmixed_pt_spectrum,
+    ptrans,
     sappt_threshold_qubits,
     symstate,
     witness,
@@ -392,6 +393,22 @@ class TestSpectrum:
     def test_dimension_cap(self, capsys, tmp_path, mode):
         refuses(capsys, tmp_path, "spectrum cap", mode)
 
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_nan_deviation_is_a_violation(self, capsys, monkeypatch, level):
+        # Wherever the nan falls, the builtin max would keep it (first) or drop it (later).
+        numeric = cli._numeric_spectrum
+
+        def nan_level(bip):
+            entries = list(numeric(bip).entries)
+            entries[level] = (math.nan, entries[level][1])
+            return Spectrum(tuple(entries))
+
+        monkeypatch.setattr(cli, "_numeric_spectrum", nan_level)
+        code, out, err = run(capsys, ["spectrum", "--n", "4", "--mode", "both", "--format", "json"])
+        assert code == 2
+        assert math.isnan(json.loads(out)["max_abs_deviation"])
+        assert err == "spectrum: max deviation nan exceeds 1e-10\n"
+
 
 def counting(monkeypatch, name) -> list:
     """Wrap cli's binding of name; returns the list of the first argument of every call."""
@@ -526,6 +543,21 @@ class TestScan:
         assert float(cols[2]) < 0
         assert cols[3] == "false"
 
+    @pytest.mark.parametrize("name", ["W5", "W7", "W9"])
+    def test_sapt_is_exact(self, capsys, name):
+        # sapt is Fraction(p) >= p_min, exactly: at float(p_min), its two neighbours, and for W5
+        # the float 5e-13 below p_min = 30/31 that a slack of 1e-12 used to call SAPPT.
+        n = int(name[1:])
+        p_min = sappt_threshold_qubits(n)
+        nearest = float(p_min)
+        ps = [math.nextafter(nearest, 0.0), nearest, math.nextafter(nearest, 1.0)]
+        ps += [0.967741935483371] if name == "W5" else []
+        for p in ps:
+            code, out, _ = run(capsys, ["scan", "--witness", name, "--p-from", repr(p), "--p-to", repr(p),
+                                        "--steps", "1"])
+            assert code == 0
+            assert out.splitlines()[1].split(",")[3] == str(Fraction(p) >= p_min).lower()
+
     def test_range_validation(self, capsys, tmp_path):
         refuses(capsys, tmp_path, "scan p range")
 
@@ -611,6 +643,21 @@ class TestScanChunks:
         scan_rows(["--witness", "W9", "--k", "4", "--p-from", "0.99", "--p-to", "1", "--steps", "201"])
         assert stacks == {"states": [64, 64, 64, 9], "operators": [7] * 28 + [5]}
 
+    def test_operators_keep_the_arrays_they_are_given(self, monkeypatch):
+        # maxmixed_pt's matrix, the embedded GHZ state, its partial transpose and every chunk
+        # stack are new arrays, read-only from the start: no operator copies one.
+        operator, built = symstate.BipartiteOperator, []
+
+        def recording(bip, mat):
+            built.append((mat, operator(bip, mat)))
+            return built[-1][1]
+
+        for module in (cli, ptrans, symstate):
+            monkeypatch.setattr(module, "BipartiteOperator", recording)
+        scan_rows(["--witness", "W9", "--k", "4", "--p-from", "0.99", "--p-to", "1", "--steps", "20"])
+        assert len(built) == 3 + 3
+        assert all(op.matrix is mat for mat, op in built)
+
 
 class TestScanChecks:
     """The chunked scan keeps every per-step check: a matrix that fails one
@@ -623,6 +670,7 @@ class TestScanChecks:
 
         def corrupt_middle(n, d, mats):
             if mats.ndim == 3:
+                mats = mats.copy()
                 mats[len(mats) // 2, 0, 1] += 1e-9
             return density(n, d, mats)
 
@@ -678,6 +726,20 @@ class TestQuditCheck:
 
     def test_argument_validation(self, capsys, tmp_path):
         refuses(capsys, tmp_path, "qudit-check --d")
+
+    @pytest.mark.parametrize("cut", [(2, 1), (3, 1), (4, 2)], ids=lambda cut: f"n{cut[0]}-k{cut[1]}")
+    def test_nan_minimum_is_a_violation(self, capsys, monkeypatch, cut):
+        check = cli.qudit_min_eig_check
+
+        def nan_at_cut(n, d, k):
+            return (math.nan, check(n, d, k)[1]) if (n, k) == cut else check(n, d, k)
+
+        monkeypatch.setattr(cli, "qudit_min_eig_check", nan_at_cut)
+        code, out, err = run(capsys, ["qudit-check", "--d", "2", "--nmax", "4"])
+        assert code == 2
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [row[3] for row in rows if (int(row[0]), int(row[1])) == cut] == ["nan"]
+        assert err == ("qudit-check: max |delta| / (1e-09 * conjectured + eigensolver rounding) nan exceeds 1.0\n")
 
     def test_reports_skipped_cuts(self, capsys):
         code, out, err = run(capsys, ["qudit-check", "--d", "30", "--nmax", "3"])

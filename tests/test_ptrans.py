@@ -33,7 +33,6 @@ from symppt import (
     symmetric_dimension,
 )
 from symppt.ptrans import DIM_CAP, _weight_stacks
-from symppt.symstate import _check_hermitian
 
 from oracles import (
     compositions,
@@ -41,6 +40,7 @@ from oracles import (
     min_eig_per_block,
     pt_shuffle,
     random_pure,
+    refused_in_place,
     scatter_blocks,
     spectrum_entries_by_index,
     tilted_eigh,
@@ -120,12 +120,16 @@ class TestMinEigenvalue:
         assert min_eigenvalue(pt) == pytest.approx(0.9 / 60 - 0.05, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
+        # min_eigenvalue has no Hermitian check of its own: its operator's matrix cannot change
+        # after the constructor checked it, and the constructor refuses the changed matrix.
         bip = Bipartition(4, 2)
-        mat = np.eye(bip.dim, dtype=complex)
-        op = BipartiteOperator(bip, mat)
-        object.__setattr__(op, "matrix", mat + 1e-6 * np.triu(np.ones_like(mat), 1))
-        with pytest.raises(ValueError):
-            min_eigenvalue(op)
+        op = BipartiteOperator(bip, np.eye(bip.dim, dtype=complex))
+
+        def skew(mat):
+            mat += 1e-6 * np.triu(np.ones_like(mat), 1)
+
+        message = refused_in_place(op, skew, lambda mat: BipartiteOperator(bip, mat))
+        assert message == "BipartiteOperator: matrix is not Hermitian within 1e-12"
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_hermitian_check_names_its_tolerance(self, kind):
@@ -135,29 +139,33 @@ class TestMinEigenvalue:
         else:
             op = partial_transpose_a(embed_bipartite(mix_with_identity(5, 0.9, ghz_state(5)), bip))
         assert op.matrix.dtype == (np.float64 if kind == "real" else np.complex128)
-        op.matrix[0, 1] += 5e-11
-        min_eigenvalue(op)
-        op.matrix[0, 1] += 1e-10
-        with pytest.raises(ValueError) as info:
-            min_eigenvalue(op)
-        assert str(info.value) == "min_eigenvalue: operator is not Hermitian within 1e-10"
+        mat = op.matrix.copy()
+        mat[0, 1] += 5e-13
+        min_eigenvalue(BipartiteOperator(bip, mat))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+        def off_by_1e11(mat):
+            mat[0, 1] += 1e-11
+
+        message = refused_in_place(op, off_by_1e11, lambda mat: BipartiteOperator(bip, mat))
+        assert message == "BipartiteOperator: matrix is not Hermitian within 1e-12"
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["all", "diagonal", "pair"])
     def test_nonfinite_entries_refused(self, value, where):
-        """numpy's eigh either fails to converge on these (LinAlgError) or returns nan."""
+        """numpy's eigh either fails to converge on these (LinAlgError) or returns nan: such a
+        matrix cannot reach it, as no operator holds one."""
         op = maxmixed_pt(Bipartition(5, 2))
-        if where == "all":
-            op.matrix[...] = value
-        elif where == "diagonal":
-            op.matrix[0, 0] = value
-        else:
-            op.matrix[0, 1] = op.matrix[1, 0] = value
-        with pytest.raises(ValueError) as info:
-            min_eigenvalue(op)
-        assert type(info.value) is ValueError
-        assert str(info.value) == "min_eigenvalue: operator is not Hermitian within 1e-10"
+
+        def set_value(mat):
+            if where == "all":
+                mat[...] = value
+            elif where == "diagonal":
+                mat[0, 0] = value
+            else:
+                mat[0, 1] = mat[1, 0] = value
+
+        message = refused_in_place(op, set_value, lambda mat: BipartiteOperator(op.bipartition, mat))
+        assert message == "BipartiteOperator: matrix is not Hermitian within 1e-12"
 
 
 def hermitian_stack(bip: Bipartition, count: int, seed: int) -> BipartiteOperator:
@@ -179,9 +187,12 @@ class TestStackedMinEigenvalues:
 
     def test_non_hermitian_matrix_mid_stack(self):
         op = hermitian_stack(Bipartition(5, 2), 5, 1)
-        op.matrix[2, 0, 3] += 1e-9
-        with pytest.raises(ValueError, match="not Hermitian"):
-            min_eigenvalue(op)
+
+        def skew(mats):
+            mats[2, 0, 3] += 1e-9
+
+        message = refused_in_place(op, skew, lambda mats: BipartiteOperator(op.bipartition, mats))
+        assert message == "BipartiteOperator: matrix is not Hermitian within 1e-12"
 
     def test_bad_eigenpair_mid_stack(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -245,10 +256,12 @@ class TestExactlyHermitianInput:
     @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "within-tolerance"])
     def test_eigh_sees_the_symmetrized_stack(self, monkeypatch, case, perturbed):
         op = self.CASES[case]()
-        mats = op.matrix
         if perturbed:
-            mats[:, 0, 1] += 5e-11
-        assert _check_hermitian(mats, 1e-10, "") is not perturbed
+            mats = op.matrix.copy()
+            mats[:, 0, 1] += 5e-13
+            op = BipartiteOperator(op.bipartition, mats)
+        mats = op.matrix
+        assert op._exactly_hermitian is not perturbed
         herm = (mats + mats.conj().swapaxes(-1, -2)) / 2
         seen = []
         eigh = np.linalg.eigh

@@ -1,9 +1,14 @@
 """Symmetric-state construction and bipartite embedding."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
+import re
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -362,6 +367,149 @@ class TestValidation:
             SymmetricDensityMatrix(2, 2, np.diag([0.5, 0.3, 0.3]))
 
 
+def diagonal_states(diagonal, stack: bool) -> np.ndarray:
+    """np.diag(diagonal), or it in the middle of a stack of two maximally mixed states."""
+    mat = np.diag(diagonal).astype(complex)
+    if not stack:
+        return mat
+    mixed = np.eye(len(diagonal), dtype=complex) / len(diagonal)
+    return np.stack([mixed, mat, mixed])
+
+
+NORM_TOL, PSD_TOL = 1e-12, 1e-10  # symstate's values, written out: a looser constant fails here
+
+
+class TestDensityBoundaries:
+    """The trace and PSD checks accept an input half their tolerance past the bound and refuse
+    one twice past it, for one matrix and for a stack."""
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_trace(self, stack, sign):
+        half = diagonal_states([0.5, 0.5 + sign * 0.5 * NORM_TOL, 0.0], stack)
+        assert SymmetricDensityMatrix(2, 2, half).matrix.tobytes() == half.tobytes()
+        twice = diagonal_states([0.5, 0.5 + sign * 2 * NORM_TOL, 0.0], stack)
+        with pytest.raises(ValueError) as info:
+            SymmetricDensityMatrix(2, 2, twice)
+        assert re.fullmatch(rf"SymmetricDensityMatrix: trace \S+ deviates from 1 beyond {NORM_TOL}", str(info.value))
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    def test_negative_eigenvalue(self, stack):
+        def with_eigenvalue(lam):
+            return diagonal_states([0.5 - lam, 0.5, lam], stack)
+
+        half = with_eigenvalue(-0.5 * PSD_TOL)
+        assert SymmetricDensityMatrix(2, 2, half).matrix.tobytes() == half.tobytes()
+        with pytest.raises(ValueError) as info:
+            SymmetricDensityMatrix(2, 2, with_eigenvalue(-2 * PSD_TOL))
+        assert str(info.value) == f"SymmetricDensityMatrix: negative eigenvalue beyond {PSD_TOL}"
+
+
+class TestReadOnlyMatrices:
+    """A container stores a read-only matrix, so what its constructor checked stays true."""
+
+    CONTAINERS = {
+        "density": (lambda mat: SymmetricDensityMatrix(2, 2, mat), np.eye(3, dtype=complex) / 3),
+        "operator": (lambda mat: BipartiteOperator(Bipartition(2, 1), mat), np.eye(4)),
+    }
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("kind", CONTAINERS)
+    def test_in_place_write_raises(self, kind, stack):
+        build, mat = self.CONTAINERS[kind]
+        mat = np.stack([mat] * 3) if stack else mat.copy()
+        container = build(mat)
+        assert not container.matrix.flags.writeable
+        with pytest.raises(ValueError, match="^assignment destination is read-only$"):
+            container.matrix[..., 0, 1] = 0.5
+        with pytest.raises(ValueError, match="^output array is read-only$"):
+            container.matrix *= 2
+        # The caller's array is copied once and stays the caller's: writeable, apart.
+        before = mat.tobytes()
+        mat[..., 0, 0] = 7
+        assert container.matrix.tobytes() == before
+
+    @pytest.mark.parametrize("kind", CONTAINERS)
+    def test_read_only_input_is_kept(self, kind):
+        build, mat = self.CONTAINERS[kind]
+        mat = mat.copy()
+        mat.flags.writeable = False
+        assert build(mat).matrix is mat
+
+    @pytest.mark.parametrize("kind", CONTAINERS)
+    def test_view_of_a_writeable_array_is_copied(self, kind):
+        build, mat = self.CONTAINERS[kind]
+        stack = np.stack([mat] * 2)
+        container = build(stack[1])
+        assert not np.shares_memory(container.matrix, stack)
+        assert stack.flags.writeable
+
+    @pytest.mark.parametrize("how", ["broadcast", "read-only-view"])
+    @pytest.mark.parametrize("kind", CONTAINERS)
+    def test_read_only_view_of_a_writeable_array_is_copied(self, kind, how):
+        build, mat = self.CONTAINERS[kind]
+        mat = mat.copy()
+        if how == "broadcast":
+            view = np.broadcast_to(mat, (2, *mat.shape))
+        else:
+            view = mat.view()
+            view.flags.writeable = False
+        container = build(view)
+        assert not np.shares_memory(container.matrix, mat)
+        mat[0, 1] = 1.0
+        assert container._exactly_hermitian and not container.matrix[..., 0, 1].any()
+
+    @pytest.mark.parametrize("kind", CONTAINERS)
+    def test_copies_rebuild_through_the_constructor(self, kind):
+        build, mat = self.CONTAINERS[kind]
+        mat = mat.copy()
+        mat[1, 0] = 0.5 * symstate.HERM_TOL
+        container = build(mat)
+        for twin in (copy.copy(container), copy.deepcopy(container), pickle.loads(pickle.dumps(container))):
+            assert type(twin) is type(container) and twin._exactly_hermitian is False
+            assert not twin.matrix.flags.writeable and twin.matrix.tobytes() == container.matrix.tobytes()
+        unpickled = pickle.loads(pickle.dumps(container))
+        with pytest.raises(ValueError, match="^assignment destination is read-only$"):
+            unpickled.matrix[0, 1] = 1.0
+
+    def test_library_states_keep_their_arrays(self, monkeypatch):
+        # density() and mix_with_identity build new arrays, read-only from the start: no copy.
+        density, built = symstate.SymmetricDensityMatrix, []
+
+        def recording(n, d, mat):
+            built.append((mat, density(n, d, mat)))
+            return built[-1][1]
+
+        monkeypatch.setattr(symstate, "SymmetricDensityMatrix", recording)
+        ghz_state(3).density()
+        mix_with_identity(3, [0.2, 0.5], ghz_state(3))
+        assert len(built) == 2 and all(state.matrix is mat for mat, state in built)
+
+    def test_converted_input_is_not_copied_again(self):
+        # The dtype conversion already made a private array, which is stored as it is: building
+        # the operator holds it and the Hermitian check's difference, two float64 dim^2 arrays,
+        # where a second copy would make three.
+        bip = Bipartition(60, 30)
+        mat = np.eye(bip.dim, dtype=np.int8)
+        tracemalloc.start()
+        try:
+            op = BipartiteOperator(bip, mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.matrix.dtype == np.float64 and not op.matrix.flags.writeable
+        assert 2 * bip.dim**2 * 8 <= peak < 2.5 * bip.dim**2 * 8
+
+    def test_verdict_is_not_shown_or_compared(self):
+        exact = BipartiteOperator(Bipartition(2, 1), np.eye(4))
+        mat = np.eye(4)
+        mat[1, 0] = 0.5 * symstate.HERM_TOL
+        within = BipartiteOperator(Bipartition(2, 1), mat)
+        assert (exact._exactly_hermitian, within._exactly_hermitian) == (True, False)
+        assert "_exactly_hermitian" not in repr(exact)
+        assert [f.name for f in dataclasses.fields(within) if f.compare] == ["bipartition", "matrix"]
+
+
 @contextmanager
 def int_max_str_digits(limit):
     saved = sys.get_int_max_str_digits()
@@ -622,7 +770,7 @@ class TestExactlyHermitianInput:
     SymmetricDensityMatrix hands eigvalsh (M + M^H)/2 bit for bit either way."""
 
     def test_verdicts(self):
-        mats = mix_with_identity(5, np.linspace(0.0, 1.0, 7), ghz_state(5, sign=+1)).matrix
+        mats = mix_with_identity(5, np.linspace(0.0, 1.0, 7), ghz_state(5, sign=+1)).matrix.copy()
         assert symstate._check_hermitian(mats, 1e-12, "") is True
         assert symstate._check_hermitian(maxmixed_pt(Bipartition(5, 2)).matrix, 1e-12, "") is True
         mats[3, 0, 5] += 5e-13
@@ -649,7 +797,7 @@ class TestExactlyHermitianInput:
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "within-tolerance"])
     def test_eigvalsh_sees_the_symmetrized_stack(self, monkeypatch, perturbed):
-        mats = mix_with_identity(6, np.linspace(0.0, 1.0, 9), ghz_state(6, sign=+1)).matrix
+        mats = mix_with_identity(6, np.linspace(0.0, 1.0, 9), ghz_state(6, sign=+1)).matrix.copy()
         if perturbed:
             mats[:, 0, 1] += 5e-13
         herm = (mats + mats.conj().swapaxes(-1, -2)) / 2

@@ -27,6 +27,7 @@ from symppt import (
     mix_with_identity,
     product_state_expectation,
     sappt_threshold_qubits,
+    symstate,
     witness,
     witness_from_json,
     witness_to_json,
@@ -34,7 +35,7 @@ from symppt import (
 from symppt.witness import GRID_AGREEMENT_TOL, GRID_SIDE_CAP, REFINE_TOL
 
 from oracles import _golden_min as golden_min_sequential
-from oracles import dense_grid_min, minimize_over_products_dense, product_value
+from oracles import dense_grid_min, minimize_over_products_dense, product_value, refused_in_place
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 COEFF = st.floats(-100, 100)
@@ -131,20 +132,50 @@ class TestExpectation:
         assert stacked.tobytes() == np.array(single).tobytes()
 
     def test_imaginary_part_mid_stack(self):
+        # A state's matrix cannot change after its constructor checked it, and the constructor
+        # refuses the corner asymmetry that would leave Tr(rho W) an imaginary part.
         rho = ghz_witness_mixture(5, np.array([0.2, 0.5, 0.8]))
-        rho.matrix[1, 0, -1] += 1e-9j
-        with pytest.raises(RuntimeError, match="imaginary part"):
-            expectation_value(rho, builtin_witness("W5"))
+
+        def skew(mats):
+            mats[1, 0, -1] += 1e-9j
+
+        message = refused_in_place(rho, skew, lambda mats: SymmetricDensityMatrix(5, 2, mats))
+        assert message == "SymmetricDensityMatrix: matrix is not Hermitian within 1e-12"
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_imaginary_part_bound_scales_with_the_corner(self, monkeypatch, scale):
+        # The constructor lets the corner pair differ from Hermitian by up to HERM_TOL, which
+        # leaves Tr(rho W) an imaginary part of up to |corner| HERM_TOL: 9.3e-12 for W5 at scale 1.
+        w5 = builtin_witness("W5")
+        w = Witness("scaled", [scale * x for x in w5.diagonal], scale * w5.corner)
+        exact = ghz_witness_mixture(5, np.array([0.2, 0.97, 0.8]))
+
+        def skewed(asymmetry):
+            mats = exact.matrix.copy()
+            mats[1, 0, -1] += asymmetry * 1j
+            return SymmetricDensityMatrix(5, 2, mats)
+
+        expected = expectation_value(exact, w)
+        assert expectation_value(skewed(symstate.HERM_TOL), w).tobytes() == expected.tobytes()
+        # A container that took 3 HERM_TOL would leave 3 |corner| HERM_TOL: past the bound.
+        monkeypatch.setattr(symstate, "HERM_TOL", 4 * symstate.HERM_TOL)
+        with pytest.raises(RuntimeError) as info:
+            expectation_value(skewed(3e-12), w)
+        bound = 2 * abs(w.corner) * 1e-12
+        assert re.fullmatch(rf"expectation_value: imaginary part \S+ exceeds 2 \|corner\| HERM_TOL = {bound:.3g}",
+                            str(info.value))
 
     @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
     @pytest.mark.parametrize("where", [(0, 0), (0, -1)], ids=["diagonal", "corner"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_nonfinite_entry_after_construction(self, value, where, stack):
         rho = ghz_witness_mixture(5, np.array([0.2, 0.97, 0.8]) if stack else 0.97)
-        (rho.matrix[1] if stack else rho.matrix)[where] = value
-        with pytest.raises(ValueError) as info:
-            expectation_value(rho, builtin_witness("W5"))
-        assert str(info.value) == "expectation_value: state matrix has a non-finite entry"
+
+        def set_value(mats):
+            (mats[1] if stack else mats)[where] = value
+
+        message = refused_in_place(rho, set_value, lambda mats: SymmetricDensityMatrix(5, 2, mats))
+        assert message == "SymmetricDensityMatrix: matrix is not Hermitian within 1e-12"
 
     @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
     def test_value_past_double_range_raises_with_warnings_as_errors(self, stack):

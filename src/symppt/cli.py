@@ -27,7 +27,9 @@ _NUMERIC = {
     "witness": ("expectation_value", "ghz_witness_mixture", "minimize_over_products"),
 }
 
+# Absolute, on |analytic - numeric| per level of the transposed uniform state: its trace 1 fixes the scale.
 SPECTRUM_BOTH_TOL = 1e-10
+# Relative to the conjectured minimum eigenvalue, plus the eigensolver rounding on its weight block.
 QUDIT_CHECK_REL_TOL = 1e-9
 EPS = sys.float_info.epsilon
 # The p grid is checked against this cap before it is allocated.

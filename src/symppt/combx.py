@@ -156,6 +156,8 @@ def sappt_threshold_qudits(n: int, d: int) -> Fraction:
     return Fraction(scale, scale + 2)
 
 
+# Relative, on the gap between sorted eigenvalues: a new level starts past DEGENERACY_REL |v_i|
+# (plus len(v) eps max|v| of eigensolver rounding).
 DEGENERACY_REL = 1e-6
 GRID_DEFAULT = (721, 360)
 

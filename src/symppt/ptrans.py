@@ -29,7 +29,6 @@ from .symstate import (
     BipartiteOperator,
     PureSymmetricState,
     _frozen,
-    _hermitian_part,
     _label_keys,
     dicke_decomposition,  # unused here; perfbench/tracing.py wraps ptrans.dicke_decomposition
     dicke_labels,  # unused here; perfbench/tracing.py wraps ptrans.dicke_labels
@@ -56,6 +55,8 @@ __all__ = [
 
 # Unused here; perfbench/tracing.py install patches ptrans.Spectrum.from_eigenvalues.
 Spectrum = combx.Spectrum
+# On ||H v - lam v||: relative to max(1, max |lam|) in min_eigenvalue, absolute in qudit_min_eig_check,
+# whose blocks are pieces of a trace-1 operator.
 RESIDUAL_TOL = 1e-10
 DIM_CAP = 5000
 
@@ -92,19 +93,16 @@ def partial_transpose_a(op: BipartiteOperator) -> BipartiteOperator:
 def min_eigenvalue(op: BipartiteOperator):
     """Smallest eigenvalue of a Hermitian bipartite operator; for a stack, an array of one per matrix.
 
-    eigh sees (M + Mᴴ)/2 bit for bit, built by symstate._hermitian_part from the verdict op's
-    constructor recorded: only for a matrix Hermitian within symstate.HERM_TOL but not exactly;
-    exactly Hermitian input goes to eigh as it is.  op.matrix is read-only, so that check, made
-    once at construction, still holds and is not repeated here.  Each returned eigenpair is verified
+    eigh sees op.matrix as it is: read-only and exactly Hermitian from op's constructor, so that
+    check, made once, still holds and is not repeated here.  Each returned eigenpair is verified
     to satisfy ||H v - lam v|| <= RESIDUAL_TOL * max(1, max |lam|), the largest |lam|
     of its own matrix.  numpy's eigh diagonalizes a stack matrix by matrix with the
     same LAPACK call, so each value is bitwise that of the matrix alone.
     """
     mats = op.matrix
-    herm = _hermitian_part(mats, op._exactly_hermitian)
-    w, v = np.linalg.eigh(herm)
+    w, v = np.linalg.eigh(mats)
     vec = v[..., :1]
-    residual = np.linalg.norm(herm @ vec - w[..., None, :1] * vec, axis=(-2, -1))
+    residual = np.linalg.norm(mats @ vec - w[..., None, :1] * vec, axis=(-2, -1))
     tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(w[..., [0, -1]]).max(axis=-1))
     over = residual > tol
     if over.any():
@@ -292,8 +290,9 @@ def qudit_min_eig_check(n: int, d: int, k: int) -> tuple[float, Fraction]:
             best, best_block = float(w[i]), stack[i]
     # eigh only feeds the residual check; reporting its value changes printed digits on some cuts.
     w, v = np.linalg.eigh(best_block)
-    if np.linalg.norm(best_block @ v[:, 0] - w[0] * v[:, 0]) > RESIDUAL_TOL:
-        raise RuntimeError(f"qudit_min_eig_check: eigenpair residual exceeds {RESIDUAL_TOL}")
+    residual = np.linalg.norm(best_block @ v[:, 0] - w[0] * v[:, 0])
+    if residual > RESIDUAL_TOL:
+        raise RuntimeError(f"qudit_min_eig_check: eigenpair residual {residual:.3g} exceeds {RESIDUAL_TOL}")
     conjectured = Fraction(1, symmetric_dimension(n, d) * math.comb(n, k))
     return best, conjectured
 

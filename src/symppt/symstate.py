@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,32 +43,22 @@ __all__ = [
     "state_from_json",
 ]
 
-NORM_TOL = 1e-12
-HERM_TOL = 1e-12
-PSD_TOL = 1e-10
-_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)  # the least int64, so min() finds it
+NORM_TOL = 1e-12  # absolute, on |norm - 1| and |trace - 1|: the unit norm or trace fixes the scale
+HERM_TOL = 1e-12  # absolute, on max |M - Mᴴ| per matrix, whatever the scale of M (ROADMAP item 19)
+PSD_TOL = 1e-10  # absolute, on -(least eigenvalue) of a unit-trace density matrix
 
 
-def _check_hermitian(mats: np.ndarray, tol: float, message: str) -> bool:
-    """Raise ValueError(message) unless each matrix of mats, one or a stack, is Hermitian within
-    tol; nan and inf fail.  Return True, skipping the |diff| pass, if mats is exactly Hermitian.
-    |diff| is taken in place for real input, in a new array for complex."""
+def _hermitian(mats: np.ndarray, who: str) -> np.ndarray:
+    """mats, one matrix or a stack, if each is exactly Hermitian; else (M + Mᴴ)/2, built once and
+    read-only, if each is Hermitian within HERM_TOL; else ValueError naming who.  nan and inf fail.
+    The |M - Mᴴ| pass runs only for inexact input, in place for real, in a new array for complex."""
     with np.errstate(invalid="ignore"):  # inf - inf gives nan, which fails the test below
         diff = mats - mats.conj().swapaxes(-1, -2)
     if not diff.any():  # nan and inf leave diff nonzero
-        return True
-    if not (np.abs(diff, out=None if np.iscomplexobj(diff) else diff).max(axis=(-2, -1)) <= tol).all():
-        raise ValueError(message)
-    return False
-
-
-def _hermitian_part(mats: np.ndarray, exact: bool) -> np.ndarray:
-    """(M + Mᴴ)/2 bit for bit, for mats that _check_hermitian passed with verdict exact.  Exactly
-    Hermitian mats with no -0.0, which (M + Mᴴ)/2 may turn to +0.0, are returned as they are:
-    then (a + a)/2 = a, short of overflow, and the copy need not be built."""
-    if exact and mats.ravel().view(np.int64).min(initial=0) != _NEGATIVE_ZERO:
         return mats
-    return (mats + mats.conj().swapaxes(-1, -2)) / 2
+    if not (np.abs(diff, out=None if np.iscomplexobj(diff) else diff).max(axis=(-2, -1)) <= HERM_TOL).all():
+        raise ValueError(f"{who}: matrix is not Hermitian within {HERM_TOL}")
+    return _frozen((mats + mats.conj().swapaxes(-1, -2)) / 2)
 
 
 def _dimension(obj, sectors, space, shape) -> int:
@@ -97,23 +87,26 @@ def _sealed(mat) -> bool:
     return False
 
 
-def _store_matrices(obj, raw, dtype, sectors, space) -> None:
-    """Set obj.matrix to raw as a dtype array, one (dim, dim) matrix or a (count, dim, dim) stack,
-    each Hermitian within HERM_TOL, dim = _dimension(obj, sectors, ...), and obj._exactly_hermitian
-    to _check_hermitian's verdict.  The messages name obj's class and space.  The stored array is
-    read-only, so each check holds for the container's life and no consumer repeats it: raw as it
-    is if it is a _sealed dtype ndarray (a caller who sets a flag back to writeable breaks this),
-    else one read-only converted copy, and the caller's array stays writeable."""
+def _owned(raw, dtype) -> np.ndarray:
+    """raw as a read-only dtype array that no caller can write: raw as it is if it is a _sealed
+    dtype ndarray (a caller who sets a flag back to writeable breaks this), else one read-only
+    converted copy, and the caller's array stays writeable.  What a container checks in its
+    constructor then holds for its life, and no consumer repeats the check."""
     if type(raw) is np.ndarray and raw.dtype == dtype and _sealed(raw):
-        mat = raw
-    else:
-        mat = _frozen(np.array(raw, dtype=dtype))
-    object.__setattr__(obj, "matrix", mat)
+        return raw
+    return _frozen(np.array(raw, dtype=dtype))
+
+
+def _store_matrices(obj, raw, dtype, sectors, space) -> np.ndarray:
+    """Set obj.matrix to _hermitian of raw as an _owned dtype array, one (dim, dim) matrix or a
+    (count, dim, dim) stack, dim = _dimension(obj, sectors, ...), and return that array as given.
+    The messages name obj's class and space."""
+    mat = _owned(raw, dtype)
     who, dim = type(obj).__name__, _dimension(obj, sectors, space, mat.shape)
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
         raise ValueError(f"{who}: expected {dim}x{dim} for {space}, got {mat.shape}")
-    exact = _check_hermitian(mat, HERM_TOL, f"{who}: matrix is not Hermitian within {HERM_TOL}")
-    object.__setattr__(obj, "_exactly_hermitian", exact)
+    object.__setattr__(obj, "matrix", _hermitian(mat, who))
+    return mat
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,14 +135,14 @@ def _occupation_array(n: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureSymmetricState:
-    """Normalized pure state in the symmetric sector, Dicke-basis amplitudes."""
+    """Normalized pure state in the symmetric sector, Dicke-basis amplitudes, read-only (see _owned)."""
 
     n: int
     d: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = _owned(self.amplitudes, np.complex128)
         object.__setattr__(self, "amplitudes", amps)
         dim = _dimension(self, [(self.n, self.d)], f"(n={self.n}, d={self.d})", amps.shape)
         if amps.shape != (dim,):
@@ -168,28 +161,31 @@ class PureSymmetricState:
     def density(self) -> "SymmetricDensityMatrix":
         return SymmetricDensityMatrix(self.n, self.d, _frozen(np.outer(self.amplitudes, self.amplitudes.conj())))
 
+    def __reduce__(self):
+        # As SymmetricDensityMatrix.__reduce__.
+        return type(self), (self.n, self.d, self.amplitudes)
+
 
 @dataclass(frozen=True)
 class SymmetricDensityMatrix:
     """Density matrix on the symmetric sector: Hermitian, unit trace, PSD.
 
     ``matrix`` is one (D, D) matrix or a (count, D, D) stack, each checked once, here; it is
-    read-only (see _store_matrices).
+    read-only and exactly Hermitian (see _store_matrices).
     """
 
     n: int
     d: int
     matrix: np.ndarray
-    _exactly_hermitian: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _store_matrices(self, self.matrix, np.complex128, [(self.n, self.d)], f"(n={self.n}, d={self.d})")
-        mat = self.matrix
-        traces = np.trace(mat, axis1=-2, axis2=-1)
+        given = _store_matrices(self, self.matrix, np.complex128, [(self.n, self.d)], f"(n={self.n}, d={self.d})")
+        # The trace of the matrix as given: an imaginary diagonal counts against NORM_TOL.
+        traces = np.trace(given, axis1=-2, axis2=-1)
         bad = traces[~(np.abs(traces - 1.0) <= NORM_TOL)]
         if bad.size:
             raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
-        if not np.linalg.eigvalsh(_hermitian_part(mat, self._exactly_hermitian)).min() >= -PSD_TOL:
+        if not np.linalg.eigvalsh(self.matrix).min() >= -PSD_TOL:
             raise ValueError(f"SymmetricDensityMatrix: negative eigenvalue beyond {PSD_TOL}")
 
     @property
@@ -209,13 +205,12 @@ class BipartiteOperator:
     index b (row-major, A first).  The convention is fixed so that partial
     transposition and file dumps are reproducible bit for bit.  ``matrix`` is one
     (dim, dim) matrix or a (count, dim, dim) stack, each checked once, here; it is
-    read-only (see _store_matrices).  Real input (bool, int or float) is stored as
-    float64, complex input as complex128.
+    read-only and exactly Hermitian (see _store_matrices).  Real input (bool, int or
+    float) is stored as float64, complex input as complex128.
     """
 
     bipartition: Bipartition
     matrix: np.ndarray
-    _exactly_hermitian: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dtype = np.complex128 if np.iscomplexobj(self.matrix) else np.float64
@@ -283,7 +278,7 @@ def ghz_state(n: int, sign: int = -1) -> PureSymmetricState:
     amps = np.zeros(n + 1, dtype=complex)
     amps[0] = 1 / math.sqrt(2)
     amps[n] = sign / math.sqrt(2)
-    return PureSymmetricState(n, 2, amps)
+    return PureSymmetricState(n, 2, _frozen(amps))
 
 
 def coherent_state(n: int, theta: float, phi: float) -> PureSymmetricState:
@@ -301,7 +296,7 @@ def coherent_state(n: int, theta: float, phi: float) -> PureSymmetricState:
         dtype=complex,
     )
     amps /= np.linalg.norm(amps)
-    return PureSymmetricState(n, 2, amps)
+    return PureSymmetricState(n, 2, _frozen(amps))
 
 
 def mix_with_identity(n: int, p, psi: PureSymmetricState) -> SymmetricDensityMatrix:

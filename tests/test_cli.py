@@ -822,7 +822,7 @@ class TestQuditCheck:
         monkeypatch.setattr(np.linalg, "eigh", tilted_eigh)
         code, out, err = run(capsys, ["qudit-check", "--d", "3", "--nmax", "6"])
         assert (code, out) == (2, "")
-        assert err == "symppt: numerical failure: qudit_min_eig_check: eigenpair residual exceeds 1e-10\n"
+        assert err == "symppt: numerical failure: qudit_min_eig_check: eigenpair residual 2.5e-07 exceeds 1e-10\n"
 
     def test_eigensolver_rounding_allowed(self, capsys):
         # At n = 60 the minimum eigenvalue is about 1e-19, so 1e-9 of it is

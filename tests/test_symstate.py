@@ -404,6 +404,19 @@ class TestDensityBoundaries:
             SymmetricDensityMatrix(2, 2, with_eigenvalue(-2 * PSD_TOL))
         assert str(info.value) == f"SymmetricDensityMatrix: negative eigenvalue beyond {PSD_TOL}"
 
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    def test_imaginary_diagonal_counts_against_the_trace(self, stack):
+        # The real part of the trace is 0.5 NORM_TOL past 1, and each diagonal entry carries an
+        # imaginary part of 0.45 HERM_TOL: Hermitian within HERM_TOL, but |trace - 1| = 1.44e-12.
+        # The stored matrix, (M + M^H)/2, has a real diagonal: its trace alone would pass.
+        mats = diagonal_states([0.5, 0.5 + 0.5 * NORM_TOL, 0.0], stack)
+        (mats[1] if stack else mats)[np.diag_indices(3)] += 0.45e-12j
+        with pytest.raises(ValueError) as info:
+            SymmetricDensityMatrix(2, 2, mats)
+        assert re.fullmatch(rf"SymmetricDensityMatrix: trace \S+ deviates from 1 beyond {NORM_TOL}", str(info.value))
+        stored = np.diag([0.5, 0.5 + 0.5 * NORM_TOL, 0.0]).astype(complex)
+        assert abs(np.trace(stored) - 1) <= NORM_TOL
+
 
 class TestReadOnlyMatrices:
     """A container stores a read-only matrix, so what its constructor checked stays true."""
@@ -457,16 +470,17 @@ class TestReadOnlyMatrices:
         container = build(view)
         assert not np.shares_memory(container.matrix, mat)
         mat[0, 1] = 1.0
-        assert container._exactly_hermitian and not container.matrix[..., 0, 1].any()
+        assert not container.matrix[..., 0, 1].any()
 
     @pytest.mark.parametrize("kind", CONTAINERS)
     def test_copies_rebuild_through_the_constructor(self, kind):
         build, mat = self.CONTAINERS[kind]
         mat = mat.copy()
-        mat[1, 0] = 0.5 * symstate.HERM_TOL
+        mat[1, 0] = 0.5e-12
         container = build(mat)
+        assert container.matrix[0, 1] == container.matrix[1, 0] == 0.25e-12
         for twin in (copy.copy(container), copy.deepcopy(container), pickle.loads(pickle.dumps(container))):
-            assert type(twin) is type(container) and twin._exactly_hermitian is False
+            assert type(twin) is type(container)
             assert not twin.matrix.flags.writeable and twin.matrix.tobytes() == container.matrix.tobytes()
         unpickled = pickle.loads(pickle.dumps(container))
         with pytest.raises(ValueError, match="^assignment destination is read-only$"):
@@ -485,6 +499,32 @@ class TestReadOnlyMatrices:
         mix_with_identity(3, [0.2, 0.5], ghz_state(3))
         assert len(built) == 2 and all(state.matrix is mat for mat, state in built)
 
+    def test_amplitudes_are_read_only(self):
+        amps = np.array([1, 1j, 0]) / math.sqrt(2)
+        psi = PureSymmetricState(2, 2, amps)
+        before = psi.amplitudes.tobytes()
+        with pytest.raises(ValueError, match="^assignment destination is read-only$"):
+            psi.amplitudes[:] = [5, 5, 5]
+        with pytest.raises(ValueError, match="^output array is read-only$"):
+            psi.amplitudes *= 5
+        amps[0] = 5  # the caller's array was copied
+        assert psi.amplitudes.tobytes() == before
+        for twin in (copy.copy(psi), copy.deepcopy(psi), pickle.loads(pickle.dumps(psi))):
+            assert type(twin) is PureSymmetricState
+            assert not twin.amplitudes.flags.writeable and twin.amplitudes.tobytes() == before
+
+    def test_library_pure_states_keep_their_arrays(self, monkeypatch):
+        pure, built = symstate.PureSymmetricState, []
+
+        def recording(n, d, amps):
+            built.append((amps, pure(n, d, amps)))
+            return built[-1][1]
+
+        monkeypatch.setattr(symstate, "PureSymmetricState", recording)
+        ghz_state(3)
+        coherent_state(3, 0.3, 0.2)
+        assert len(built) == 2 and all(psi.amplitudes is amps for amps, psi in built)
+
     def test_converted_input_is_not_copied_again(self):
         # The dtype conversion already made a private array, which is stored as it is: building
         # the operator holds it and the Hermitian check's difference, two float64 dim^2 arrays,
@@ -501,13 +541,14 @@ class TestReadOnlyMatrices:
         assert 2 * bip.dim**2 * 8 <= peak < 2.5 * bip.dim**2 * 8
 
     def test_verdict_is_not_shown_or_compared(self):
-        exact = BipartiteOperator(Bipartition(2, 1), np.eye(4))
+        # No Hermitian verdict is kept: the stored matrix is exactly Hermitian, so there is none.
         mat = np.eye(4)
-        mat[1, 0] = 0.5 * symstate.HERM_TOL
+        mat[1, 0] = 0.5e-12
         within = BipartiteOperator(Bipartition(2, 1), mat)
-        assert (exact._exactly_hermitian, within._exactly_hermitian) == (True, False)
-        assert "_exactly_hermitian" not in repr(exact)
-        assert [f.name for f in dataclasses.fields(within) if f.compare] == ["bipartition", "matrix"]
+        assert [f.name for f in dataclasses.fields(within)] == ["bipartition", "matrix"]
+        assert vars(within).keys() == {"bipartition", "matrix"}
+        state = SymmetricDensityMatrix(2, 2, np.eye(3, dtype=complex) / 3)
+        assert vars(state).keys() == {"n", "d", "matrix"}
 
 
 @contextmanager
@@ -766,22 +807,31 @@ class TestStackedChecks:
 
 
 class TestExactlyHermitianInput:
-    """The Hermitian check tells exact input from input within tolerance; the PSD step of
-    SymmetricDensityMatrix hands eigvalsh (M + M^H)/2 bit for bit either way."""
+    """A container stores its input if it is exactly Hermitian and (M + M^H)/2 if it is Hermitian
+    only within HERM_TOL; the PSD step of SymmetricDensityMatrix hands eigvalsh that stored matrix."""
 
     def test_verdicts(self):
         mats = mix_with_identity(5, np.linspace(0.0, 1.0, 7), ghz_state(5, sign=+1)).matrix.copy()
-        assert symstate._check_hermitian(mats, 1e-12, "") is True
-        assert symstate._check_hermitian(maxmixed_pt(Bipartition(5, 2)).matrix, 1e-12, "") is True
+        assert symstate._hermitian(mats, "") is mats
+        pt = maxmixed_pt(Bipartition(5, 2)).matrix
+        assert symstate._hermitian(pt, "") is pt
         mats[3, 0, 5] += 5e-13
-        assert symstate._check_hermitian(mats, 1e-12, "") is False
+        within = symstate._hermitian(mats, "")
+        assert within.tobytes() == ((mats + mats.conj().swapaxes(-1, -2)) / 2).tobytes()
+        assert not within.flags.writeable and mats.flags.writeable
+        mats[3, 0, 5] += 1e-12
+        with pytest.raises(ValueError, match=r"^who: matrix is not Hermitian within 1e-12$"):
+            symstate._hermitian(mats, "who")
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_hermitian_part_is_the_symmetrized_matrix_bit_for_bit(self, dtype):
         # Parts drawn from {0, 1, -1}, mirrored into a Hermitian matrix, then each zero given a
-        # random sign: (-0.0 + 0.0) / 2 and complex division by 2 can turn -0.0 to +0.0.
+        # random sign: (-0.0 + 0.0) / 2 and complex division by 2 can turn -0.0 to +0.0.  An exactly
+        # Hermitian matrix is stored as it is, -0.0 and all; one off by 0.5 HERM_TOL in one entry
+        # is stored as (M + M^H)/2, bit for bit.
         rng = np.random.default_rng(3)
-        returned_as_is = set()
+        bip = Bipartition(2, 1)
+        symmetrizing_changes_bits = set()
         for _ in range(500):
             mat = rng.integers(-1, 2, (4, 4)).astype(dtype)
             if dtype is complex:
@@ -790,10 +840,13 @@ class TestExactlyHermitianInput:
             parts = mat.view(float)
             zeros = parts == 0
             parts[zeros] = np.where(rng.random(zeros.sum()) < 0.8, 0.0, -0.0)
-            part = symstate._hermitian_part(mat, symstate._check_hermitian(mat, 1e-12, ""))
-            assert part.tobytes() == ((mat + mat.conj().T) / 2).tobytes()
-            returned_as_is.add(part is mat)
-        assert returned_as_is == {True, False}
+            mat.flags.writeable = False
+            assert BipartiteOperator(bip, mat).matrix is mat
+            symmetrizing_changes_bits.add(((mat + mat.conj().T) / 2).tobytes() != mat.tobytes())
+            within = mat.copy()
+            within[1, 0] += 0.5e-12
+            assert BipartiteOperator(bip, within).matrix.tobytes() == ((within + within.conj().T) / 2).tobytes()
+        assert symmetrizing_changes_bits == {True, False}
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "within-tolerance"])
     def test_eigvalsh_sees_the_symmetrized_stack(self, monkeypatch, perturbed):
@@ -806,12 +859,13 @@ class TestExactlyHermitianInput:
         eigvalsh = np.linalg.eigvalsh
 
         def recording(a, *args, **kwargs):
-            seen.append(a.tobytes())
+            seen.append(a)
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        SymmetricDensityMatrix(6, 2, mats)
-        assert seen == [herm.tobytes()]
+        state = SymmetricDensityMatrix(6, 2, mats)
+        assert len(seen) == 1 and seen[0] is state.matrix
+        assert state.matrix.tobytes() == herm.tobytes()
 
 
 class TestJson:

@@ -27,7 +27,6 @@ from symppt import (
     mix_with_identity,
     product_state_expectation,
     sappt_threshold_qubits,
-    symstate,
     witness,
     witness_from_json,
     witness_to_json,
@@ -143,27 +142,28 @@ class TestExpectation:
         assert message == "SymmetricDensityMatrix: matrix is not Hermitian within 1e-12"
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-    def test_imaginary_part_bound_scales_with_the_corner(self, monkeypatch, scale):
-        # The constructor lets the corner pair differ from Hermitian by up to HERM_TOL, which
-        # leaves Tr(rho W) an imaginary part of up to |corner| HERM_TOL: 9.3e-12 for W5 at scale 1.
+    def test_imaginary_part_is_zero_at_any_corner_scale(self, monkeypatch, scale):
+        # The constructor lets the corner pair differ from Hermitian by up to HERM_TOL and stores
+        # the symmetrized matrix, whose corner sum is real: Tr(rho W) has imaginary part 0, exactly.
         w5 = builtin_witness("W5")
         w = Witness("scaled", [scale * x for x in w5.diagonal], scale * w5.corner)
         exact = ghz_witness_mixture(5, np.array([0.2, 0.97, 0.8]))
+        mats = exact.matrix.copy()
+        mats[1, 0, -1] += 1e-12j
+        skewed = SymmetricDensityMatrix(5, 2, mats)
+        assert not (skewed.matrix[:, 0, -1] + skewed.matrix[:, -1, 0]).imag.any()
+        values = []
+        real = np.real
 
-        def skewed(asymmetry):
-            mats = exact.matrix.copy()
-            mats[1, 0, -1] += asymmetry * 1j
-            return SymmetricDensityMatrix(5, 2, mats)
+        def recording(val):
+            values.append(val)
+            return real(val)
 
-        expected = expectation_value(exact, w)
-        assert expectation_value(skewed(symstate.HERM_TOL), w).tobytes() == expected.tobytes()
-        # A container that took 3 HERM_TOL would leave 3 |corner| HERM_TOL: past the bound.
-        monkeypatch.setattr(symstate, "HERM_TOL", 4 * symstate.HERM_TOL)
-        with pytest.raises(RuntimeError) as info:
-            expectation_value(skewed(3e-12), w)
-        bound = 2 * abs(w.corner) * 1e-12
-        assert re.fullmatch(rf"expectation_value: imaginary part \S+ exceeds 2 \|corner\| HERM_TOL = {bound:.3g}",
-                            str(info.value))
+        monkeypatch.setattr(np, "real", recording)
+        value = expectation_value(skewed, w)
+        assert values[-1].shape == (3,) and not values[-1].imag.any()  # the complex Tr(rho W)
+        monkeypatch.undo()
+        assert value.tobytes() == expectation_value(exact, w).tobytes()
 
     @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
     @pytest.mark.parametrize("where", [(0, 0), (0, -1)], ids=["diagonal", "corner"])
@@ -486,6 +486,18 @@ def palindromic_witnesses(draw):
     half = draw(st.lists(COEFF, min_size=1, max_size=8))
     middle = draw(st.lists(COEFF, max_size=1))
     return Witness("random", tuple(half + middle + half[::-1]), draw(COEFF))
+
+
+@pytest.mark.parametrize("name, inside, outside", [("W5", (716, 360), (352, 360)), ("W9", (51, 360), (114, 360))])
+def test_grid_agreement_boundary(name, inside, outside):
+    # GRID_AGREEMENT_TOL = 1e-6, written out, at scale 1: grid-vs-refined gaps of 7.0e-7 (W5) and
+    # 6.7e-7 (W9) pass, and 2.9e-6 (W5) and 2.5e-6 (W9) raise.
+    w = builtin_witness(name)
+    minimize_over_products(w, inside)
+    with pytest.raises(RuntimeError) as info:
+        minimize_over_products(w, outside)
+    assert re.fullmatch(r"minimize_over_products: 2-D grid minimum \S+ and refined minimum \S+ disagree beyond 1e-06",
+                        str(info.value))
 
 
 class TestGridCrossCheck:

@@ -1,4 +1,5 @@
-"""Run the golden and witness tests under each OpenBLAS kernel and without numpy's AVX-512 code.
+"""Run the golden, witness, container and partial-transpose tests under each OpenBLAS kernel and
+without numpy's AVX-512 code.
 
 Usage, from the root of a checkout:
 
@@ -7,11 +8,11 @@ Usage, from the root of a checkout:
 OpenBLAS picks a kernel for the CPU it runs on, and ``OPENBLAS_CORETYPE`` forces
 one for a single process.  The last bits of LAPACK results depend on the kernel,
 and a 12-digit golden cell that sits a few ulps from a rounding tie can print
-differently under another one.  This script runs ``tests/test_golden.py`` and
-``tests/test_witness.py`` in a child ``pytest`` process, one at a time, under each
-kernel in CORETYPES, then once more with ``NPY_DISABLE_CPU_FEATURES`` set to
-numpy's AVX-512 dispatch targets, so that the witness tests' batched-equals-
-sequential checks also run on numpy's AVX2 loops.  Each child gets PYTHONPATH=src,
+differently under another one.  This script runs the files in TESTS (the golden,
+witness, ``symstate`` and ``ptrans`` tests) in a child ``pytest`` process, one at a
+time, under each kernel in CORETYPES, then once more with ``NPY_DISABLE_CPU_FEATURES``
+set to numpy's AVX-512 dispatch targets, so that the batched-equals-sequential and
+bit-for-bit container checks also run on numpy's AVX2 loops.  Each child gets PYTHONPATH=src,
 PYTHONDONTWRITEBYTECODE=1 and one BLAS thread.
 
 It prints one line per setting: ``pass`` or ``fail`` with pytest's closing line,
@@ -27,7 +28,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = ["tests/test_golden.py", "tests/test_witness.py"]
+TESTS = ["tests/test_golden.py", "tests/test_witness.py", "tests/test_symstate.py", "tests/test_ptrans.py"]
 CORETYPES = ["SkylakeX", "Haswell", "Zen", "Sandybridge", "Prescott"]
 OVERRIDES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "PYTHONPATH")
 

@@ -12,6 +12,7 @@ import argparse
 import functools
 import importlib
 import math
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -249,16 +250,30 @@ def cmd_scan(args) -> Table:
     # Each chunk of p values takes the per-p route as one stack: every check sees every matrix.
     # States and transposed operators are chunked apart, each by its own dimension.
     ps = np.linspace(args.p_from, args.p_to, args.steps)
-    trs, lams = [], []
+    trs = []
     step = _scan_chunk(w.dim)
     for chunk in (ps[i:i + step] for i in range(0, len(ps), step)):
         trs += expectation_value(ghz_witness_mixture(n, chunk), w).tolist()
-    step = _scan_chunk(bip.dim)
-    for chunk in (ps[i:i + step] for i in range(0, len(ps), step)):
+
+    def lambda_min(chunk):
         p = chunk[:, None, None]
         stack = p * pt_uniform + (1 - p) * pt_ghz
         stack.flags.writeable = False  # as symstate._frozen: the container keeps it without a copy
-        lams += min_eigenvalue(BipartiteOperator(bip, stack)).tolist()
+        return min_eigenvalue(BipartiteOperator(bip, stack)).tolist()
+
+    # The operator chunks run on one thread per usable core, in a pool that lives for this
+    # command only (a kept pool goes stale in a forked child).  Stacked eigh releases the GIL
+    # and solves each matrix with its own LAPACK call, so the bits are the serial loop's; map
+    # yields in p order and re-raises the first failing chunk in p order.  Imported here:
+    # concurrent.futures loads logging, which import symppt.cli and the exact commands skip.
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    step = _scan_chunk(bip.dim)
+    lams = []
+    with ThreadPoolExecutor(workers) as pool:
+        for part in pool.map(lambda_min, (ps[i:i + step] for i in range(0, len(ps), step))):
+            lams += part
     rows = [(p, tr, lam, p >= sapt_from, tr < 0) for p, tr, lam in zip(ps.tolist(), trs, lams)]
     columns = ("p", "witness_expectation", "lambda_min", "sapt", "witness_detects")
     return Table({"n": n, "k": bip.k, "witness": w.name}, "rows", columns, rows)

@@ -55,8 +55,8 @@ __all__ = [
 
 # Unused here; perfbench/tracing.py install patches ptrans.Spectrum.from_eigenvalues.
 Spectrum = combx.Spectrum
-# On ||H v - lam v||: relative to max(1, max |lam|) in min_eigenvalue, absolute in qudit_min_eig_check,
-# whose blocks are pieces of a trace-1 operator.
+# On ||H v - lam v||: relative to max(1, max |lam|) of the matrix or block, in min_eigenvalue and
+# qudit_min_eig_check (whose blocks are pieces of a trace-1 operator, so there it is 1e-10).
 RESIDUAL_TOL = 1e-10
 DIM_CAP = 5000
 
@@ -96,15 +96,15 @@ def min_eigenvalue(op: BipartiteOperator):
     eigh sees op.matrix as it is: read-only and exactly Hermitian from op's constructor, so that
     check, made once, still holds and is not repeated here.  Each returned eigenpair is verified
     to satisfy ||H v - lam v|| <= RESIDUAL_TOL * max(1, max |lam|), the largest |lam|
-    of its own matrix.  numpy's eigh diagonalizes a stack matrix by matrix with the
-    same LAPACK call, so each value is bitwise that of the matrix alone.
+    of its own matrix; a nan residual fails it.  numpy's eigh diagonalizes a stack matrix
+    by matrix with the same LAPACK call, so each value is bitwise that of the matrix alone.
     """
     mats = op.matrix
     w, v = np.linalg.eigh(mats)
     vec = v[..., :1]
     residual = np.linalg.norm(mats @ vec - w[..., None, :1] * vec, axis=(-2, -1))
     tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(w[..., [0, -1]]).max(axis=-1))
-    over = residual > tol
+    over = ~(residual <= tol)
     if over.any():
         raise RuntimeError(f"min_eigenvalue: eigenpair residual {residual[over][0]:.3g} exceeds {tol[over][0]:.3g}")
     return w[:, 0] if mats.ndim == 3 else float(w[0])
@@ -278,8 +278,10 @@ def qudit_min_eig_check(n: int, d: int, k: int) -> tuple[float, Fraction]:
     the conjectured closed form 1 / [D C(n,k)], D = C(n+d-1, d-1).
 
     The numeric side diagonalizes the exact weight blocks (never the
-    conjectured formula), so the two routes stay independent.  Bipartite
-    dimensions above DIM_CAP are rejected.
+    conjectured formula), so the two routes stay independent.  The minimum's
+    eigenpair is verified as in min_eigenvalue, against max(1, max |lam|) of
+    its block; a nan residual fails.  Bipartite dimensions above DIM_CAP are
+    rejected.
     """
     bip = Bipartition(n, k, d)
     best = None
@@ -291,8 +293,9 @@ def qudit_min_eig_check(n: int, d: int, k: int) -> tuple[float, Fraction]:
     # eigh only feeds the residual check; reporting its value changes printed digits on some cuts.
     w, v = np.linalg.eigh(best_block)
     residual = np.linalg.norm(best_block @ v[:, 0] - w[0] * v[:, 0])
-    if residual > RESIDUAL_TOL:
-        raise RuntimeError(f"qudit_min_eig_check: eigenpair residual {residual:.3g} exceeds {RESIDUAL_TOL}")
+    tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(w[[0, -1]]).max())
+    if not residual <= tol:
+        raise RuntimeError(f"qudit_min_eig_check: eigenpair residual {residual:.3g} exceeds {tol:.3g}")
     conjectured = Fraction(1, symmetric_dimension(n, d) * math.comb(n, k))
     return best, conjectured
 

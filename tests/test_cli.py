@@ -5,9 +5,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
 import struct
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -34,7 +36,7 @@ from symppt import (
 )
 from symppt.cli import main
 
-from oracles import scan_rows_per_p, tilted_eigh
+from oracles import render_reference, scan_rows_per_p, tilted_eigh
 from conftest import load_script
 
 
@@ -632,16 +634,21 @@ class TestScanChunks:
         density, operator = symstate.SymmetricDensityMatrix, cli.BipartiteOperator
 
         def record(name, make):
+            # The operator chunks run on pool threads, in any order: each stack is recorded with
+            # its first p's entry [1, 1], p times a positive entry of the uniform part (the GHZ
+            # part is 0 there), and the sizes are read in p order.
             def wrapped(*args):
                 if np.ndim(args[-1]) == 3:
-                    stacks[name].append(len(args[-1]))
+                    stacks[name].append((args[-1][0, 1, 1].real, len(args[-1])))
                 return make(*args)
             return wrapped
 
         monkeypatch.setattr(symstate, "SymmetricDensityMatrix", record("states", density))
         monkeypatch.setattr(cli, "BipartiteOperator", record("operators", operator))
         scan_rows(["--witness", "W9", "--k", "4", "--p-from", "0.99", "--p-to", "1", "--steps", "201"])
-        assert stacks == {"states": [64, 64, 64, 9], "operators": [7] * 28 + [5]}
+        sizes = {name: [size for _, size in sorted(recorded)] for name, recorded in stacks.items()}
+        assert sizes == {"states": [64, 64, 64, 9], "operators": [7] * 28 + [5]}
+        assert all(len({key for key, _ in recorded}) == len(recorded) for recorded in stacks.values())
 
     def test_operators_keep_the_arrays_they_are_given(self, monkeypatch):
         # maxmixed_pt's matrix, the embedded GHZ state, its partial transpose and every chunk
@@ -661,7 +668,7 @@ class TestScanChunks:
 
 class TestScanChecks:
     """The chunked scan keeps every per-step check: a matrix that fails one
-    makes the command exit 1 with that check's message."""
+    makes the command exit 1 (2 for an eigenpair) with that check's message."""
 
     ARGV = ["scan", "--witness", "W5", "--p-from", "0.9", "--p-to", "1", "--steps", "100"]
 
@@ -691,6 +698,98 @@ class TestScanChecks:
         code, out, err = run(capsys, self.ARGV)
         assert (code, out) == (1, "")
         assert err == "symppt: error: BipartiteOperator: matrix is not Hermitian within 1e-12\n"
+
+    def test_nan_eigenvector_is_a_numerical_failure(self, capsys, monkeypatch):
+        # nan > tol is false: a residual test written that way passed this pair and printed its nan.
+        eigh = np.linalg.eigh
+
+        def nan_vector(a, *args, **kwargs):
+            w, v = eigh(a, *args, **kwargs)
+            v = v.copy()
+            v[..., 0] = np.nan
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_vector)
+        code, out, err = run(capsys, ["scan", "--witness", "W5", "--p-from", "0.9", "--p-to", "1", "--steps", "3"])
+        assert (code, out) == (2, "")
+        assert err == "symppt: numerical failure: min_eigenvalue: eigenpair residual nan exceeds 1e-10\n"
+
+
+def usable_cores(monkeypatch, count: int):
+    """scan's pool sees `count` usable cores, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestScanPool:
+    """scan's operator chunks run on a pool of one thread per usable core: the bytes are the
+    per-p oracle's at any pool size, and the first failing chunk in p order is reported."""
+
+    # W5 at k = 2 over 100 steps: 12 x 12 operators in chunks of 44, 44 and 12.
+    ARGV = ["scan", "--witness", "W5", "--p-from", "0.9", "--p-to", "1", "--steps", "100"]
+
+    @staticmethod
+    def chunk_of(op) -> int:
+        """The index in p order of the chunk op's stack holds: its first matrix's entry [1, 1]
+        is its first p times that of the uniform part, bit for bit (the GHZ part is 0 there)."""
+        u11 = cli.maxmixed_pt(Bipartition(5, 2)).matrix[1, 1]
+        firsts = [p * u11 for p in np.linspace(0.9, 1, 100)[::44]]
+        return firsts.index(op.matrix[0, 1, 1].real)
+
+    def test_first_failing_chunk_in_p_order_is_reported(self, capsys, monkeypatch):
+        # The second chunk fails only after the third has: its error is still the one reported.
+        usable_cores(monkeypatch, 4)
+        min_eig, third_failed = cli.min_eigenvalue, threading.Event()
+
+        def failing(op):
+            chunk = self.chunk_of(op)
+            if chunk == 2:
+                third_failed.set()
+                raise RuntimeError("third chunk")
+            if chunk == 1:
+                assert third_failed.wait(timeout=30)
+                raise RuntimeError("second chunk")
+            return min_eig(op)
+
+        monkeypatch.setattr(cli, "min_eigenvalue", failing)
+        code, out, err = run(capsys, self.ARGV)
+        assert (code, out, err) == (2, "", "symppt: numerical failure: second chunk\n")
+        assert third_failed.is_set()
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_last_chunk_failing_is_the_serial_failure(self, capsys, monkeypatch, cores):
+        # The chunks in p order, one at a time, stop at the last with its error: so does the pool.
+        usable_cores(monkeypatch, cores)
+        min_eig, chunks, threads = cli.min_eigenvalue, [], set()
+
+        def failing_last(op):
+            chunk = self.chunk_of(op)
+            chunks.append(chunk)
+            threads.add(threading.current_thread())
+            if chunk == 2:
+                raise RuntimeError("min_eigenvalue: eigenpair residual 1e-09 exceeds 1e-10")
+            return min_eig(op)
+
+        monkeypatch.setattr(cli, "min_eigenvalue", failing_last)
+        code, out, err = run(capsys, self.ARGV)
+        assert (code, out) == (2, "")
+        assert err == "symppt: numerical failure: min_eigenvalue: eigenpair residual 1e-09 exceeds 1e-10\n"
+        assert sorted(chunks) == [0, 1, 2]
+        assert threading.main_thread() not in threads
+        assert len(threads) <= cores and (cores > 1 or len(threads) == 1)
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    @pytest.mark.parametrize("name, k", [("W9", 4), ("W5", 1)])
+    def test_bytes_equal_per_p_oracle_at_any_pool_size(self, capsys, monkeypatch, cores, name, k):
+        usable_cores(monkeypatch, cores)
+        w = builtin_witness(name)
+        p_from = float(sappt_threshold_qubits(w.n)) - 0.03
+        oracle = scan_rows_per_p(w, w.n, k, p_from, 1.0, 201)
+        columns = ("p", "witness_expectation", "lambda_min", "sapt", "witness_detects")
+        table = cli.Table({"n": w.n, "k": k, "witness": name}, "rows", columns, oracle)
+        for fmt in ("csv", "json"):
+            argv = ["scan", "--witness", name, "--k", str(k), "--p-from", repr(p_from), "--p-to", "1",
+                    "--steps", "201", "--format", fmt]
+            assert run(capsys, argv) == (0, render_reference(table, fmt), "")
 
 
 def stub_qudit_min_eig_check(monkeypatch) -> list:
@@ -823,6 +922,13 @@ class TestQuditCheck:
         code, out, err = run(capsys, ["qudit-check", "--d", "3", "--nmax", "6"])
         assert (code, out) == (2, "")
         assert err == "symppt: numerical failure: qudit_min_eig_check: eigenpair residual 2.5e-07 exceeds 1e-10\n"
+
+    def test_nan_eigenvector_exits_2(self, capsys, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], np.full_like(eigh(a)[1], np.nan)))
+        code, out, err = run(capsys, ["qudit-check", "--d", "3", "--nmax", "6"])
+        assert (code, out) == (2, "")
+        assert err == "symppt: numerical failure: qudit_min_eig_check: eigenpair residual nan exceeds 1e-10\n"
 
     def test_eigensolver_rounding_allowed(self, capsys):
         # At n = 60 the minimum eigenvalue is about 1e-19, so 1e-9 of it is

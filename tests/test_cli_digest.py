@@ -9,6 +9,7 @@ import json
 import shlex
 import shutil
 import sys
+import threading
 from pathlib import Path
 
 from symppt import cli
@@ -60,15 +61,21 @@ def test_commands_run_every_function_line_of_cli(tmp_path):
             ran.add(frame.f_lineno)
         return line
 
-    argvs, tracer = tool.commands(tmp_path), sys.gettrace()
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == path else None
+
+    # scan's operator chunks run on pool threads, which take the tracer from threading.settrace.
+    argvs, tracer, thread_tracer = tool.commands(tmp_path), sys.gettrace(), threading.gettrace()
     # Each side of the tool starts in a fresh interpreter, where these caches are empty.
     cli._numeric.cache_clear()
     cli.build_parser.cache_clear()
-    sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename == path else None)
+    threading.settrace(call)
+    sys.settrace(call)
     try:
         tool.digests(str(Path(path).parents[1]), argvs)
     finally:
         sys.settrace(tracer)
+        threading.settrace(thread_tracer)
     defs = {node.name: node for node in ast.parse(Path(path).read_text(encoding="utf-8")).body
             if isinstance(node, ast.FunctionDef)}
     getattr_body = range(defs["__getattr__"].body[0].lineno, defs["__getattr__"].end_lineno + 1)

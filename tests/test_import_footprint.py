@@ -4,7 +4,8 @@
 `table1`, `spectrum --mode analytic` and `witness --threshold`.  The first
 numeric command loads them all and binds their names into `cli`, keeping a
 name that was patched before it.  Where numpy cannot be imported, a numeric
-command exits 1 with one line.
+command exits 1 with one line.  `scan` loads `concurrent.futures` for its
+thread pool; the import and the exact commands do not.
 """
 
 import json
@@ -56,10 +57,10 @@ def test_exact_names_load_no_numeric_module():
     assert fresh([], setup, "sorted(symppt.combx.__all__)") == [[], [], EXACT_NAMES]
 
 
-def test_exact_commands_load_no_numeric_module(tmp_path):
+def exact_argvs(tmp_path) -> list:
     path = tmp_path / "w9.json"
     path.write_text(json.dumps({"name": "w9", "diagonal": [1, -0.1] + [0.5] * 6 + [-0.1, 1], "corner": -9}))
-    argvs = [
+    return [
         ["table1"],
         ["table1", "--nmax", "14", "--format", "json"],
         ["spectrum", "--n", "9", "--mode", "analytic"],
@@ -67,6 +68,10 @@ def test_exact_commands_load_no_numeric_module(tmp_path):
         ["witness", "W9", "--threshold"],
         ["witness", "--witness-file", str(path), "--threshold", "--format", "json"],
     ]
+
+
+def test_exact_commands_load_no_numeric_module(tmp_path):
+    argvs = exact_argvs(tmp_path)
     loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'symppt')"
     assert fresh(argvs, result=loaded) == [[0] * len(argvs), [], ["symppt", "symppt.cli", "symppt.combx"]]
 
@@ -87,6 +92,17 @@ NUMERIC_ARGVS = {
 @pytest.mark.parametrize("argv", NUMERIC_ARGVS.values(), ids=NUMERIC_ARGVS.keys())
 def test_numeric_command_loads_them_all(argv):
     assert fresh([argv]) == [[0], NUMERIC, None]
+
+
+# scan's thread pool imports concurrent.futures, and with it logging, only when scan runs.
+POOL = "[m for m in ('concurrent.futures', 'logging') if m in sys.modules]"
+
+
+def test_import_and_exact_commands_load_no_thread_pool(tmp_path):
+    argvs = exact_argvs(tmp_path)
+    assert fresh([], result=POOL) == [[], [], []]
+    assert fresh(argvs, result=POOL) == [[0] * len(argvs), [], []]
+    assert fresh([NUMERIC_ARGVS["scan"]], result=POOL) == [[0], NUMERIC, ["concurrent.futures", "logging"]]
 
 
 def test_numeric_commands_without_numpy_exit_1_with_one_line():

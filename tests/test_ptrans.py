@@ -32,7 +32,7 @@ from symppt import (
     schmidt_spectrum,
     symmetric_dimension,
 )
-from symppt.ptrans import DIM_CAP, _weight_stacks
+from symppt.ptrans import DIM_CAP, RESIDUAL_TOL, _weight_stacks
 
 from oracles import (
     compositions,
@@ -232,6 +232,21 @@ class TestStackedMinEigenvalues:
         with pytest.raises(RuntimeError) as info:
             min_eigenvalue(maxmixed_pt(Bipartition(9, 4)))
         assert re.fullmatch(r"min_eigenvalue: eigenpair residual \d\.\d\de-\d\d exceeds 1e-10", str(info.value))
+
+    @pytest.mark.parametrize("residual", [RESIDUAL_TOL, math.nextafter(RESIDUAL_TOL, 1), math.nan],
+                             ids=["at-bound", "just-over", "nan"])
+    def test_residual_boundary(self, monkeypatch, residual):
+        # The transposed uniform state has max |lam| < 1, so the bound is RESIDUAL_TOL itself;
+        # a nan residual is over it.
+        op = maxmixed_pt(Bipartition(9, 4))
+        lam = min_eigenvalue(op)
+        monkeypatch.setattr(np.linalg, "norm", lambda x, axis: np.full(x.shape[:-2], residual))
+        if residual <= RESIDUAL_TOL:
+            assert min_eigenvalue(op) == lam
+        else:
+            with pytest.raises(RuntimeError) as info:
+                min_eigenvalue(op)
+            assert str(info.value) == f"min_eigenvalue: eigenpair residual {residual:.3g} exceeds 1e-10"
 
 
 def scan_chunk(n: int, k: int, count: int) -> BipartiteOperator:
@@ -766,6 +781,36 @@ class TestQuditMinEig:
         # The residual depends on which eigenvector of a degenerate level the kernel returns:
         # 2.86e-08 under SkylakeX and Prescott, 9.52e-08 under Haswell.
         assert re.fullmatch(r"qudit_min_eig_check: eigenpair residual \d(\.\d\d?)?e-\d\d exceeds 1e-10", str(info.value))
+
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    @pytest.mark.parametrize("over", [False, True], ids=["at-bound", "just-over"])
+    def test_residual_boundary(self, monkeypatch, scale, over):
+        # The bound is RESIDUAL_TOL * max(1, max |lam|) of the minimising block: RESIDUAL_TOL on
+        # the uniform state's blocks (scale 1), 4 RESIDUAL_TOL where eigh reports levels up to 4.
+        eigh, bound = np.linalg.eigh, RESIDUAL_TOL * scale
+        residual = math.nextafter(bound, 1) if over else bound
+        expected = qudit_min_eig_check(5, 3, 2)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.linspace(-1, scale, len(a)), eigh(a)[1]))
+        monkeypatch.setattr(np.linalg, "norm", lambda x: residual)
+        if not over:
+            assert qudit_min_eig_check(5, 3, 2) == expected
+        else:
+            with pytest.raises(RuntimeError) as info:
+                qudit_min_eig_check(5, 3, 2)
+            assert str(info.value) == f"qudit_min_eig_check: eigenpair residual {residual:.3g} exceeds {bound:.3g}"
+
+    def test_nan_residual_raises(self, monkeypatch):
+        # nan > RESIDUAL_TOL is false: a test written that way let this pair pass.
+        eigh = np.linalg.eigh
+
+        def nan_vector(a):
+            w, v = eigh(a)
+            return w, np.full_like(v, np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_vector)
+        with pytest.raises(RuntimeError) as info:
+            qudit_min_eig_check(5, 3, 2)
+        assert str(info.value) == "qudit_min_eig_check: eigenpair residual nan exceeds 1e-10"
 
     def test_size_cap(self):
         with pytest.raises(ValueError):

@@ -82,12 +82,13 @@ def partial_transpose_a(op: BipartiteOperator) -> BipartiteOperator:
     """Transpose the A-side indices: ((a,b),(a',b')) -> ((a',b),(a,b')).
 
     An involution that preserves trace and Hermiticity; a stack is transposed matrix by matrix.
+    The entries go through a reshaped view of a new array, which the new operator keeps as it is.
     """
     da, db = op.bipartition.dim_a, op.bipartition.dim_b
-    split = op.matrix.reshape(*op.matrix.shape[:-2], da, db, da, db)
-    # Copy the transposed view, then reshape: a view of a read-only copy, which the container keeps.
-    mat = _frozen(split.swapaxes(-4, -2).copy())
-    return BipartiteOperator(op.bipartition, mat.reshape(op.matrix.shape))
+    split_shape = (*op.matrix.shape[:-2], da, db, da, db)
+    mat = np.empty_like(op.matrix, order="C")  # C order: the reshape below is a view, not a copy
+    mat.reshape(split_shape)[...] = op.matrix.reshape(split_shape).swapaxes(-4, -2)
+    return BipartiteOperator(op.bipartition, _frozen(mat))
 
 
 def min_eigenvalue(op: BipartiteOperator):

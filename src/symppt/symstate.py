@@ -71,28 +71,19 @@ def _dimension(obj, sectors, space, shape) -> int:
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
-    """mat, marked read-only: how the library hands a container an array it has just built and
-    holds no other reference to, so that the container keeps it without a copy."""
+    """mat, marked read-only: how the library hands a container an array it has just built, that
+    owns its memory and that nothing else references, so that the container keeps it uncopied."""
     mat.flags.writeable = False
     return mat
 
 
-def _sealed(mat) -> bool:
-    """True if mat is an ndarray whose memory no array can write: mat and every ndarray in its
-    base chain are read-only, and the chain ends in an array that owns its data."""
-    while isinstance(mat, np.ndarray) and not mat.flags.writeable:
-        if mat.base is None:
-            return True
-        mat = mat.base
-    return False
-
-
 def _owned(raw, dtype) -> np.ndarray:
-    """raw as a read-only dtype array that no caller can write: raw as it is if it is a _sealed
-    dtype ndarray (a caller who sets a flag back to writeable breaks this), else one read-only
-    converted copy, and the caller's array stays writeable.  What a container checks in its
-    constructor then holds for its life, and no consumer repeats the check."""
-    if type(raw) is np.ndarray and raw.dtype == dtype and _sealed(raw):
+    """raw as it is if it is a read-only dtype ndarray that owns its memory, else one read-only
+    converted copy; the caller's array stays writeable.  Every view is copied, as no flag tells
+    whether a writeable view of its base is alive.  What a constructor checks then holds for the
+    container's life, unless the caller keeps a writeable view of what it hands over or sets
+    its flag back: nothing short of always copying stops that."""
+    if type(raw) is np.ndarray and raw.dtype == dtype and raw.base is None and not raw.flags.writeable:
         return raw
     return _frozen(np.array(raw, dtype=dtype))
 
@@ -133,8 +124,16 @@ def _occupation_array(n: int, d: int) -> np.ndarray:
     return occupations
 
 
+class _Container:
+    """Base of the containers: copies and pickles rebuild through the constructor from the
+    fields in order, so the copy is checked and read-only (numpy copies an array writeable)."""
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
+
+
 @dataclass(frozen=True)
-class PureSymmetricState:
+class PureSymmetricState(_Container):
     """Normalized pure state in the symmetric sector, Dicke-basis amplitudes, read-only (see _owned)."""
 
     n: int
@@ -161,13 +160,9 @@ class PureSymmetricState:
     def density(self) -> "SymmetricDensityMatrix":
         return SymmetricDensityMatrix(self.n, self.d, _frozen(np.outer(self.amplitudes, self.amplitudes.conj())))
 
-    def __reduce__(self):
-        # As SymmetricDensityMatrix.__reduce__.
-        return type(self), (self.n, self.d, self.amplitudes)
-
 
 @dataclass(frozen=True)
-class SymmetricDensityMatrix:
+class SymmetricDensityMatrix(_Container):
     """Density matrix on the symmetric sector: Hermitian, unit trace, PSD.
 
     ``matrix`` is one (D, D) matrix or a (count, D, D) stack, each checked once, here; it is
@@ -185,20 +180,16 @@ class SymmetricDensityMatrix:
         bad = traces[~(np.abs(traces - 1.0) <= NORM_TOL)]
         if bad.size:
             raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
-        if not np.linalg.eigvalsh(self.matrix).min() >= -PSD_TOL:
+        if not (np.linalg.eigvalsh(self.matrix) >= -PSD_TOL).all():
             raise ValueError(f"SymmetricDensityMatrix: negative eigenvalue beyond {PSD_TOL}")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
-    def __reduce__(self):
-        # Copies and pickles rebuild through the constructor: numpy copies an array writeable.
-        return type(self), (self.n, self.d, self.matrix)
-
 
 @dataclass(frozen=True)
-class BipartiteOperator:
+class BipartiteOperator(_Container):
     """Hermitian operator on the product of the two symmetric sectors.
 
     Row index i = a * dim_b + b for A-side label index a and B-side label
@@ -220,10 +211,6 @@ class BipartiteOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
-
-    def __reduce__(self):
-        # As SymmetricDensityMatrix.__reduce__.
-        return type(self), (self.bipartition, self.matrix)
 
 
 def dicke_decomposition(bip: Bipartition, label) -> list:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import struct
 import sys
@@ -410,6 +411,23 @@ class TestSpectrum:
         assert code == 2
         assert math.isnan(json.loads(out)["max_abs_deviation"])
         assert err == "spectrum: max deviation nan exceeds 1e-10\n"
+
+    @pytest.mark.parametrize("offset, code", [(0.5e-10, 0), (2e-10, 2)])
+    def test_deviation_boundary(self, capsys, monkeypatch, offset, code):
+        # Each numeric level is its closed form plus offset: half the 1e-10 bound passes, twice
+        # it fails, so a bound 10x looser or tighter fails one of the pair.
+        def shifted(bip):
+            return Spectrum(tuple((float(v) + offset, m) for v, m in maxmixed_pt_spectrum(bip).entries))
+
+        monkeypatch.setattr(cli, "_numeric_spectrum", shifted)
+        got, out, err = run(capsys, ["spectrum", "--n", "5", "--k", "2", "--mode", "both"])
+        assert got == code
+        deviations = [float(line.split(",")[3]) for line in out.splitlines()[1:]]
+        assert len(deviations) == 3 and all(abs(dev - offset) < 1e-16 for dev in deviations)
+        if code:
+            assert re.fullmatch(r"spectrum: max deviation \S+ exceeds 1e-10\n", err)
+        else:
+            assert err == ""
 
 
 def counting(monkeypatch, name) -> list:

@@ -260,6 +260,12 @@ class TestMixWithIdentity:
             mix_with_identity(5, np.array([0.2, 1.5, 0.4]), ghz_state(5))
         assert str(info.value) == "mix_with_identity: p must lie in [0, 1], got 1.5"
 
+    def test_empty_array_of_p_gives_an_empty_stack(self):
+        # The PSD step tests every eigenvalue: an empty stack has none, and no minimum.
+        rho = mix_with_identity(5, np.array([]), ghz_state(5))
+        assert rho.matrix.shape == (0, 6, 6)
+        assert rho.matrix.dtype == np.complex128 and not rho.matrix.flags.writeable
+
 
 # Every k | n-k cut with d = 2, n <= 30; d = 3, n <= 9; d = 4, n <= 7.
 TABLE_CUTS = [
@@ -471,6 +477,28 @@ class TestReadOnlyMatrices:
         assert not np.shares_memory(container.matrix, mat)
         mat[0, 1] = 1.0
         assert not container.matrix[..., 0, 1].any()
+
+    @pytest.mark.parametrize("kind", CONTAINERS)
+    def test_read_only_view_of_a_read_only_array_is_copied(self, kind):
+        # A view is copied whatever its flags: a writeable view of its base may be alive.
+        build, mat = self.CONTAINERS[kind]
+        mat = mat.copy()
+        mat.flags.writeable = False
+        view = mat.view()
+        assert not view.flags.writeable
+        stored = build(view).matrix
+        assert stored is not view and stored.base is None
+        assert not np.shares_memory(stored, mat)
+
+    @pytest.mark.parametrize("kind", CONTAINERS)
+    def test_read_only_slice_of_a_containers_stack_is_copied(self, kind):
+        build, mat = self.CONTAINERS[kind]
+        stack = build(np.stack([mat] * 3)).matrix
+        sliced = stack[1]
+        assert not sliced.flags.writeable
+        stored = build(sliced).matrix
+        assert stored.base is None and not np.shares_memory(stored, stack)
+        assert stored.tobytes() == sliced.tobytes()
 
     @pytest.mark.parametrize("kind", CONTAINERS)
     def test_copies_rebuild_through_the_constructor(self, kind):

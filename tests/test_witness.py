@@ -109,6 +109,10 @@ class TestExpectation:
         assert got == pytest.approx(expected, abs=1e-14)
         assert got == pytest.approx(0.30069, abs=1e-5)
 
+    def test_empty_stack_gives_an_empty_array(self):
+        got = expectation_value(ghz_witness_mixture(5, np.array([])), builtin_witness("W5"))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
     def test_affine_in_p(self):
         w = builtin_witness("W5")
         samples = {p: expectation_value(ghz_witness_mixture(5, p), w) for p in (0.0, 0.5, 1.0)}

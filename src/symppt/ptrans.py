@@ -30,10 +30,10 @@ from .symstate import (
     PureSymmetricState,
     _frozen,
     _label_keys,
+    _sector_embedding,
     dicke_decomposition,  # unused here; perfbench/tracing.py wraps ptrans.dicke_decomposition
     dicke_labels,  # unused here; perfbench/tracing.py wraps ptrans.dicke_labels
     embed_bipartite,
-    embed_pure,
     ghz_state,
     mix_with_identity,
     split_coefficients,
@@ -231,9 +231,7 @@ def schmidt_spectrum(psi: PureSymmetricState, bip: Bipartition) -> np.ndarray:
     Singular values squared of the embedded amplitude vector reshaped to
     the dim_a x dim_b coefficient matrix; they sum to 1.
     """
-    if psi.n != bip.n or psi.d != bip.d:
-        raise ValueError(f"schmidt_spectrum: state (n={psi.n}, d={psi.d}) does not match {bip}")
-    coeff = embed_pure(psi, bip).reshape(bip.dim_a, bip.dim_b)
+    coeff = (_sector_embedding(psi, bip, "schmidt_spectrum") @ psi.amplitudes).reshape(bip.dim_a, bip.dim_b)
     sv = np.linalg.svd(coeff, compute_uv=False)
     return np.sort(sv**2)[::-1]
 

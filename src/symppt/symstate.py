@@ -353,25 +353,26 @@ def embedding_matrix(n: int, k: int, d: int = 2) -> np.ndarray:
     return v
 
 
+def _sector_embedding(state, bip: Bipartition, who: str) -> np.ndarray:
+    """embedding_matrix for bip, if the pure or mixed state is on bip's sector; else ValueError naming who."""
+    if state.n != bip.n or state.d != bip.d:
+        raise ValueError(f"{who}: state (n={state.n}, d={state.d}) does not match {bip}")
+    return embedding_matrix(bip.n, bip.k, bip.d)
+
+
 def embed_bipartite(rho: SymmetricDensityMatrix, bip: Bipartition) -> BipartiteOperator:
     """Embed a symmetric density matrix as an operator on the bipartite space.
 
     Returns V rho V^T, which preserves trace, Hermiticity, rank and
     positive semidefiniteness.
     """
-    if rho.n != bip.n or rho.d != bip.d:
-        raise ValueError(
-            f"embed_bipartite: state (n={rho.n}, d={rho.d}) does not match {bip}"
-        )
-    v = embedding_matrix(bip.n, bip.k, bip.d)
+    v = _sector_embedding(rho, bip, "embed_bipartite")
     return BipartiteOperator(bip, _frozen(v @ rho.matrix @ v.T))
 
 
 def embed_pure(psi: PureSymmetricState, bip: Bipartition) -> np.ndarray:
     """Amplitude vector of a pure symmetric state on the bipartite space."""
-    if psi.n != bip.n or psi.d != bip.d:
-        raise ValueError(f"embed_pure: state (n={psi.n}, d={psi.d}) does not match {bip}")
-    return embedding_matrix(bip.n, bip.k, bip.d) @ psi.amplitudes
+    return _sector_embedding(psi, bip, "embed_pure") @ psi.amplitudes
 
 
 def state_to_json(psi: PureSymmetricState) -> str:

@@ -29,7 +29,6 @@ from symppt import (
     builtin_witness,
     cli,
     maxmixed_pt_spectrum,
-    ptrans,
     sappt_threshold_qubits,
     symstate,
     witness,
@@ -667,21 +666,6 @@ class TestScanChunks:
         sizes = {name: [size for _, size in sorted(recorded)] for name, recorded in stacks.items()}
         assert sizes == {"states": [64, 64, 64, 9], "operators": [7] * 28 + [5]}
         assert all(len({key for key, _ in recorded}) == len(recorded) for recorded in stacks.values())
-
-    def test_operators_keep_the_arrays_they_are_given(self, monkeypatch):
-        # maxmixed_pt's matrix, the embedded GHZ state, its partial transpose and every chunk
-        # stack are new arrays, read-only from the start: no operator copies one.
-        operator, built = symstate.BipartiteOperator, []
-
-        def recording(bip, mat):
-            built.append((mat, operator(bip, mat)))
-            return built[-1][1]
-
-        for module in (cli, ptrans, symstate):
-            monkeypatch.setattr(module, "BipartiteOperator", recording)
-        scan_rows(["--witness", "W9", "--k", "4", "--p-from", "0.99", "--p-to", "1", "--steps", "20"])
-        assert len(built) == 3 + 3
-        assert all(op.matrix is mat for mat, op in built)
 
 
 class TestScanChecks:

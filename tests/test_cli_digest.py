@@ -6,7 +6,6 @@ import hashlib
 import inspect
 import io
 import json
-import shlex
 import shutil
 import sys
 import threading
@@ -28,9 +27,11 @@ def test_command_set(tmp_path):
 
 
 def test_command_set_holds_the_readme_examples(tmp_path):
+    # The parser finds every `symppt ...` line of the README, comments stripped.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    examples = [shlex.split(line, comments=True)[1:] for line in readme.splitlines() if line.startswith("symppt ")]
-    assert len(examples) == 8
+    examples = load_script(TOOL).readme_examples()
+    assert len(examples) == sum(line.startswith("symppt ") for line in readme.splitlines()) == 8
+    assert examples[0] == ["table1", "--nmax", "10"]
     argvs = load_script(TOOL).commands(tmp_path)
     assert [argv for argv in examples if argv not in argvs] == []
 

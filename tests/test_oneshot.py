@@ -1,7 +1,6 @@
 """tools/oneshot.py: its command set is the README's CLI examples, and its runs."""
 
 import py_compile
-import shlex
 import shutil
 import sys
 
@@ -12,20 +11,13 @@ from conftest import ROOT, load_script
 TOOL = "tools/oneshot.py"
 
 
-def readme_commands() -> list:
-    """The argvs of the `symppt ...` lines in the README's CLI section."""
-    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI", 1)[1]
-    block = section.split("```sh", 1)[1].split("```", 1)[0]
-    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("symppt ")]
-
-
 def test_command_set():
     commands = load_script(TOOL).COMMANDS
     assert {cls: len(argvs) for cls, argvs in commands.items()} == {
         "exact": 3, "spectrum numeric": 1, "scan": 1, "qudit-check": 1, "witness --validate": 2,
     }
     argvs = [argv for group in commands.values() for argv in group]
-    assert sorted(argvs) == sorted(readme_commands())
+    assert sorted(argvs) == sorted(load_script("tools/cli_digest.py").readme_examples())
     assert len({tuple(argv) for argv in argvs}) == 8
 
 

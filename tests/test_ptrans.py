@@ -27,7 +27,6 @@ from symppt import (
     mix_with_identity,
     mixture_min_eig_bound,
     partial_transpose_a,
-    ptrans,
     qudit_min_eig_check,
     sappt_threshold_qubits,
     schmidt_spectrum,
@@ -104,24 +103,6 @@ class TestPartialTranspose:
         assert not np.shares_memory(got, stack.matrix)
         assert not np.shares_memory(partial_transpose_a(ops[0]).matrix, ops[0].matrix)
 
-    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
-    def test_new_operator_keeps_an_array_that_owns_its_memory(self, monkeypatch, stack):
-        operator, built = ptrans.BipartiteOperator, []
-
-        def recording(bip, mat):
-            built.append((mat, operator(bip, mat)))
-            return built[-1][1]
-
-        bip = Bipartition(5, 2)
-        op = random_hermitian(bip, np.random.default_rng(53))
-        if stack:
-            op = BipartiteOperator(bip, np.stack([op.matrix, 2 * op.matrix]))
-        monkeypatch.setattr(ptrans, "BipartiteOperator", recording)
-        pt = partial_transpose_a(op)
-        assert len(built) == 1 and pt.matrix is built[0][0]
-        assert pt.matrix.base is None and not pt.matrix.flags.writeable
-        assert pt.matrix.shape == op.matrix.shape
-
     def test_fortran_ordered_input(self):
         # A read-only Fortran-ordered array that owns its memory is stored as it is; the
         # transpose is written through a view of a C-ordered array all the same.
@@ -131,7 +112,6 @@ class TestPartialTranspose:
         fortran = np.asfortranarray(op.matrix)
         fortran.flags.writeable = False
         kept = BipartiteOperator(bip, fortran)
-        assert kept.matrix is fortran
         got = partial_transpose_a(kept).matrix
         assert got.flags.c_contiguous
         assert got.tobytes() == partial_transpose_a(op).matrix.tobytes()

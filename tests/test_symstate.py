@@ -32,13 +32,14 @@ from symppt import (
     ghz_state,
     maxmixed_pt,
     mix_with_identity,
+    partial_transpose_a,
     state_from_json,
     state_to_json,
     symmetric_dimension,
 )
-from symppt import symstate
+from symppt import cli, symstate
 from symppt.combx import SqrtRational, multinomial
-from symppt.symstate import _occupation_array, split_coefficients
+from symppt.symstate import _frozen, _occupation_array, split_coefficients
 
 from oracles import brute_split_overlaps, compositions, qubit_occupation, random_density, random_pure
 
@@ -449,58 +450,6 @@ class TestReadOnlyMatrices:
         assert container.matrix.tobytes() == before
 
     @pytest.mark.parametrize("kind", CONTAINERS)
-    def test_read_only_input_is_kept(self, kind):
-        build, mat = self.CONTAINERS[kind]
-        mat = mat.copy()
-        mat.flags.writeable = False
-        assert build(mat).matrix is mat
-
-    @pytest.mark.parametrize("kind", CONTAINERS)
-    def test_view_of_a_writeable_array_is_copied(self, kind):
-        build, mat = self.CONTAINERS[kind]
-        stack = np.stack([mat] * 2)
-        container = build(stack[1])
-        assert not np.shares_memory(container.matrix, stack)
-        assert stack.flags.writeable
-
-    @pytest.mark.parametrize("how", ["broadcast", "read-only-view"])
-    @pytest.mark.parametrize("kind", CONTAINERS)
-    def test_read_only_view_of_a_writeable_array_is_copied(self, kind, how):
-        build, mat = self.CONTAINERS[kind]
-        mat = mat.copy()
-        if how == "broadcast":
-            view = np.broadcast_to(mat, (2, *mat.shape))
-        else:
-            view = mat.view()
-            view.flags.writeable = False
-        container = build(view)
-        assert not np.shares_memory(container.matrix, mat)
-        mat[0, 1] = 1.0
-        assert not container.matrix[..., 0, 1].any()
-
-    @pytest.mark.parametrize("kind", CONTAINERS)
-    def test_read_only_view_of_a_read_only_array_is_copied(self, kind):
-        # A view is copied whatever its flags: a writeable view of its base may be alive.
-        build, mat = self.CONTAINERS[kind]
-        mat = mat.copy()
-        mat.flags.writeable = False
-        view = mat.view()
-        assert not view.flags.writeable
-        stored = build(view).matrix
-        assert stored is not view and stored.base is None
-        assert not np.shares_memory(stored, mat)
-
-    @pytest.mark.parametrize("kind", CONTAINERS)
-    def test_read_only_slice_of_a_containers_stack_is_copied(self, kind):
-        build, mat = self.CONTAINERS[kind]
-        stack = build(np.stack([mat] * 3)).matrix
-        sliced = stack[1]
-        assert not sliced.flags.writeable
-        stored = build(sliced).matrix
-        assert stored.base is None and not np.shares_memory(stored, stack)
-        assert stored.tobytes() == sliced.tobytes()
-
-    @pytest.mark.parametrize("kind", CONTAINERS)
     def test_copies_rebuild_through_the_constructor(self, kind):
         build, mat = self.CONTAINERS[kind]
         mat = mat.copy()
@@ -513,19 +462,6 @@ class TestReadOnlyMatrices:
         unpickled = pickle.loads(pickle.dumps(container))
         with pytest.raises(ValueError, match="^assignment destination is read-only$"):
             unpickled.matrix[0, 1] = 1.0
-
-    def test_library_states_keep_their_arrays(self, monkeypatch):
-        # density() and mix_with_identity build new arrays, read-only from the start: no copy.
-        density, built = symstate.SymmetricDensityMatrix, []
-
-        def recording(n, d, mat):
-            built.append((mat, density(n, d, mat)))
-            return built[-1][1]
-
-        monkeypatch.setattr(symstate, "SymmetricDensityMatrix", recording)
-        ghz_state(3).density()
-        mix_with_identity(3, [0.2, 0.5], ghz_state(3))
-        assert len(built) == 2 and all(state.matrix is mat for mat, state in built)
 
     def test_amplitudes_are_read_only(self):
         amps = np.array([1, 1j, 0]) / math.sqrt(2)
@@ -540,18 +476,6 @@ class TestReadOnlyMatrices:
         for twin in (copy.copy(psi), copy.deepcopy(psi), pickle.loads(pickle.dumps(psi))):
             assert type(twin) is PureSymmetricState
             assert not twin.amplitudes.flags.writeable and twin.amplitudes.tobytes() == before
-
-    def test_library_pure_states_keep_their_arrays(self, monkeypatch):
-        pure, built = symstate.PureSymmetricState, []
-
-        def recording(n, d, amps):
-            built.append((amps, pure(n, d, amps)))
-            return built[-1][1]
-
-        monkeypatch.setattr(symstate, "PureSymmetricState", recording)
-        ghz_state(3)
-        coherent_state(3, 0.3, 0.2)
-        assert len(built) == 2 and all(psi.amplitudes is amps for amps, psi in built)
 
     def test_converted_input_is_not_copied_again(self):
         # The dtype conversion already made a private array, which is stored as it is: building
@@ -577,6 +501,58 @@ class TestReadOnlyMatrices:
         assert vars(within).keys() == {"bipartition", "matrix"}
         state = SymmetricDensityMatrix(2, 2, np.eye(3, dtype=complex) / 3)
         assert vars(state).keys() == {"n", "d", "matrix"}
+
+
+class TestStorageRule:
+    """A container keeps an array only if it is read-only and owns its memory, else a read-only copy."""
+
+    CONTAINERS = {  # uniform entries, exact in float32: a broadcast row or a float32 copy holds the same values
+        "amplitudes": (lambda a: PureSymmetricState(3, 2, a).amplitudes, np.full(4, 0.5, dtype=complex)),
+        "density": (lambda a: SymmetricDensityMatrix(3, 2, a).matrix, np.full((4, 4), 0.25, dtype=complex)),
+        "operator": (lambda a: BipartiteOperator(Bipartition(2, 1), a).matrix, np.full((4, 4), 0.25)),
+    }
+    INPUTS = {  # form: (kept, the input made from a fresh writeable array a and the container's build)
+        "writeable": (False, lambda a, build: a),
+        "read-only": (True, lambda a, build: _frozen(a)),
+        "read-only-fortran": (True, lambda a, build: _frozen(np.asfortranarray(a))),
+        "view-into-a-writeable-stack": (False, lambda a, build: np.stack([a, a])[1]),
+        "read-only-view-of-a-writeable-array": (False, lambda a, build: _frozen(a.view())),
+        "broadcast": (False, lambda a, build: np.broadcast_to(a[:1], a.shape)),
+        "read-only-view-of-a-read-only-array": (False, lambda a, build: _frozen(a).view()),
+        "read-only-slice-of-a-stored-stack": (False, lambda a, build: build(np.stack([a, a]) if a.ndim == 2 else a)[:]),
+        "read-only-other-dtype": (False, lambda a, build: _frozen(a.real.astype(np.float32))),
+    }
+
+    @pytest.mark.parametrize("form", INPUTS)
+    @pytest.mark.parametrize("kind", CONTAINERS)
+    def test_inputs(self, kind, form):
+        (build, a), (kept, make) = self.CONTAINERS[kind], self.INPUTS[form]
+        given = make(a := a.copy(), build)
+        flags, stored = repr(given.flags), build(given)
+        assert (stored is given) == kept and repr(given.flags) == flags
+        if not kept:  # np.shares_memory is exact: no later write through a or given reaches the copy
+            assert not stored.flags.writeable and stored.base is None and (stored == given).all()
+            assert not np.shares_memory(stored, a) and not np.shares_memory(stored, given)
+
+    HANDOVERS = {  # each library producer, fed only by the library
+        "ghz_state": lambda: ghz_state(3),
+        "coherent_state": lambda: coherent_state(3, 0.3, 0.2),
+        "density": lambda: ghz_state(3).density(),
+        "mix_with_identity": lambda: mix_with_identity(3, [0.2, 0.5], ghz_state(3)),
+        "embed_bipartite": lambda: embed_bipartite(ghz_state(5).density(), Bipartition(5, 2)),
+        "maxmixed_pt": lambda: maxmixed_pt(Bipartition(5, 2)),
+        "partial_transpose_a-single": lambda: partial_transpose_a(maxmixed_pt(Bipartition(5, 2))),
+        "partial_transpose_a-stack": lambda: partial_transpose_a(
+            embed_bipartite(mix_with_identity(5, [0.2, 0.5], ghz_state(5)), Bipartition(5, 2))),
+        "scan": lambda: cli.main("scan --witness W9 --k 4 --p-from 0.99 --p-to 1 --steps 20".split()),
+    }
+
+    @pytest.mark.parametrize("produce", HANDOVERS.values(), ids=HANDOVERS)
+    def test_handovers(self, monkeypatch, produce):
+        owned, handed = symstate._owned, []  # (the array a container is handed, the array it keeps)
+        monkeypatch.setattr(symstate, "_owned", lambda *args: handed.append((args[0], owned(*args))) or handed[-1][1])
+        produce()
+        assert handed and all(kept is raw for raw, kept in handed)
 
 
 @contextmanager

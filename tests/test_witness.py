@@ -578,6 +578,19 @@ class TestDetectionThreshold:
         with pytest.raises(ValueError):
             detection_threshold(flat, 3)
 
+    @pytest.mark.parametrize("corner, p_star", [
+        (0.5e-12, None), (-0.5e-12, None), (2e-12, 500011061105.7514), (-2e-12, -500011061103.7514),
+    ])
+    def test_degenerate_slope_boundary(self, corner, p_star):
+        # g - t = corner against max(|g|, |t|) = 1 here: a slope of half the 1e-12 bound is refused,
+        # twice it gives p*, so a bound 10x looser or tighter fails one of the pair.
+        slope = Witness("slope", (1.0, 1.0, 1.0, 1.0), corner)
+        if p_star is None:
+            with pytest.raises(ValueError, match="^detection_threshold: degenerate denominator, expectation "):
+                detection_threshold(slope, 3)
+        else:
+            assert detection_threshold(slope, 3) == p_star
+
     # Tr W overflows; Tr W and <GHZ|W|GHZ> overflow, and inf - inf is nan; both are finite but g - t is not.
     @pytest.mark.parametrize("diagonal,corner", [
         ((1e308, 1e308), 0.0), ((1.7e308, 0.0, 1.7e308), 0.8e308), ((0.0, -1.7e308, 0.0), 1.7e308),

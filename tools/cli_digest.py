@@ -20,7 +20,8 @@ runs as ``python -B``, and this process imports ``workloads`` with
 ``__pycache__``.
 
 ``commands()`` lists the argvs: they run every line of ``cli.py``'s functions
-but ``__getattr__``'s body and ``_json``'s final ``raise``.
+but ``__getattr__``'s body and ``_json``'s final ``raise``.  The README's CLI
+examples among them are read from the README itself (``readme_examples()``).
 
 ``perfbench/workloads.py`` is only imported, never changed.
 """
@@ -31,12 +32,14 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 SCAN_SEED = 7
 WITNESS_GRIDS = ("3x1", "4x1", "5x3", "720x360", "721x361", "1000x17", "2880x1440")
 FILE_GRIDS = ("3x1", "720x360", "721x360", "1441x7")
@@ -46,16 +49,6 @@ WITNESS_FILES = {
 }
 # Its product-state minimum is -1: the report and --validate print, then exit 2.
 INVALID_WITNESS = {"name": "invalid", "diagonal": [1.0, -3.0, 1.0], "corner": 0.0}
-README_EXAMPLES = (
-    "table1 --nmax 10",
-    "spectrum --n 5 --k 2",
-    "spectrum --n 5 --k 2 --mode both",
-    "scan --n 5 --witness W5 --p-from 0.95 --p-to 1.0 --steps 51",
-    "qudit-check --d 3 --nmax 15",
-    "witness W5 --n 5 --p 0.96774",
-    "witness W9 --validate",
-    "witness W5 --threshold",
-)
 # One refusal per argument check of the commands.
 REFUSALS = (
     "witness",
@@ -69,6 +62,13 @@ REFUSALS = (
     "qudit-check --d 3 --nmax 1",
     "witness W5 --grid 7",
 )
+
+
+def readme_examples() -> list[list[str]]:
+    """The argvs of the ``symppt ...`` lines in the ``sh`` block of the README's CLI section."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("symppt ")]
 
 
 def commands(tmp: Path) -> list[list[str]]:
@@ -99,7 +99,7 @@ def commands(tmp: Path) -> list[list[str]]:
             argvs.append(["witness", "--witness-file", path, "--validate", "--grid", grid])
     path = str(tmp / "invalid.json")
     argvs += [["witness", "--witness-file", path], ["witness", "--witness-file", path, "--validate"]]
-    argvs += [line.split() for line in README_EXAMPLES + REFUSALS]
+    argvs += readme_examples() + [line.split() for line in REFUSALS]
     # Past the first n whose k = 1 cut is over the dimension cap, qudit-check stops.
     argvs += [["qudit-check", "--d", "4", "--nmax", "19"], ["witness", "W7", "--p", "0.999", "--format", "json"]]
     argvs += [["table1", "--nmax", "5", "--out", str(tmp / "table1.csv")],

@@ -25,7 +25,7 @@ from .combx import (GRID_DEFAULT, Bipartition, Spectrum, builtin_witness, detect
 _NUMERIC = {
     "ptrans": ("np", "DIM_CAP", "maxmixed_pt", "min_eigenvalue", "partial_transpose_a", "qudit_min_eig_check"),
     "symstate": ("BipartiteOperator", "embed_bipartite"),
-    "witness": ("expectation_value", "ghz_witness_mixture", "minimize_over_products"),
+    "witness": ("_ghz_expectations", "expectation_value", "ghz_witness_mixture", "minimize_over_products"),
 }
 
 # Absolute, on |analytic - numeric| per level of the transposed uniform state: its trace 1 fixes the scale.
@@ -247,13 +247,10 @@ def cmd_scan(args) -> Table:
     pt_uniform = maxmixed_pt(bip).matrix
     pt_ghz = partial_transpose_a(embed_bipartite(ghz_witness_mixture(n, 0.0), bip)).matrix
 
-    # Each chunk of p values takes the per-p route as one stack: every check sees every matrix.
-    # States and transposed operators are chunked apart, each by its own dimension.
+    # The expectation column reads rho(p)'s diagonal and corners alone.  Each chunk of transposed
+    # states takes the per-p route as one stack: every check sees every matrix.
     ps = np.linspace(args.p_from, args.p_to, args.steps)
-    trs = []
-    step = _scan_chunk(w.dim)
-    for chunk in (ps[i:i + step] for i in range(0, len(ps), step)):
-        trs += expectation_value(ghz_witness_mixture(n, chunk), w).tolist()
+    trs = _ghz_expectations(w, n, ps).tolist()
 
     def lambda_min(chunk):
         p = chunk[:, None, None]

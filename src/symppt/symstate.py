@@ -61,6 +61,12 @@ def _hermitian(mats: np.ndarray, who: str) -> np.ndarray:
     return _frozen((mats + mats.conj().swapaxes(-1, -2)) / 2)
 
 
+def _check_traces(traces: np.ndarray) -> None:
+    """ValueError, as SymmetricDensityMatrix words it, naming the first trace not within NORM_TOL of 1."""
+    if (bad := traces[~(np.abs(traces - 1.0) <= NORM_TOL)]).size:
+        raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
+
+
 def _dimension(obj, sectors, space, shape) -> int:
     """Product of symmetric_dimension(n, d) over the (n, d) sectors.  ValueError, naming obj's
     class, the space and shape, if it has more digits than Python prints: no array is that long."""
@@ -176,10 +182,7 @@ class SymmetricDensityMatrix(_Container):
     def __post_init__(self):
         given = _store_matrices(self, self.matrix, np.complex128, [(self.n, self.d)], f"(n={self.n}, d={self.d})")
         # The trace of the matrix as given: an imaginary diagonal counts against NORM_TOL.
-        traces = np.trace(given, axis1=-2, axis2=-1)
-        bad = traces[~(np.abs(traces - 1.0) <= NORM_TOL)]
-        if bad.size:
-            raise ValueError(f"SymmetricDensityMatrix: trace {bad[0]} deviates from 1 beyond {NORM_TOL}")
+        _check_traces(np.trace(given, axis1=-2, axis2=-1))
         if not (np.linalg.eigvalsh(self.matrix) >= -PSD_TOL).all():
             raise ValueError(f"SymmetricDensityMatrix: negative eigenvalue beyond {PSD_TOL}")
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .combx import GRID_DEFAULT, Witness
-from .symstate import SymmetricDensityMatrix, ghz_state, mix_with_identity
+from .symstate import SymmetricDensityMatrix, _check_traces, ghz_state, mix_with_identity
 
 __all__ = [
     "ghz_witness_mixture",
@@ -44,27 +44,50 @@ def ghz_witness_mixture(n: int, p) -> SymmetricDensityMatrix:
     return mix_with_identity(n, p, ghz_state(n, sign=+1))
 
 
+def _evaluate(w: Witness, rows: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Tr(rho W) per state from its real diagonal, one row each, and its corner sum rho[0, -1] +
+    rho[-1, 0], real as b + (-b) = 0 exactly.  One BLAS dot per row: a stacked matmul sums in
+    another order and can change the last bit."""
+    if rows.shape[-1] != w.dim:
+        raise ValueError(f"expectation_value: state dim {rows.shape[-1]} != witness dim {w.dim}")
+    diagonal = np.array(w.diagonal)
+    with np.errstate(all="ignore"):  # a sum past double range is refused below, with no warning
+        val = np.array([row @ diagonal for row in rows]) + w.corner * corners
+    if not np.isfinite(val).all():
+        raise ValueError(f"witness {w.name}: expectation leaves double range")
+    return np.real(val)
+
+
 def expectation_value(rho: SymmetricDensityMatrix, w: Witness):
     """Tr(rho W) for a symmetric qubit density matrix; for a stack, an array of one per matrix.
 
     rho's matrix is read-only, finite and exactly Hermitian from its constructor, so neither is
-    checked again.  The diagonal term is real, and so is the corner sum rho[0, -1] + rho[-1, 0]:
-    its imaginary part is b + (-b) = 0 exactly.
+    checked again.
     """
     if rho.d != 2:
         raise ValueError("expectation_value: witnesses act on qubit sectors")
-    if rho.dim != w.dim:
-        raise ValueError(f"expectation_value: state dim {rho.dim} != witness dim {w.dim}")
     mats = rho.matrix
-    diagonal = np.array(w.diagonal)
-    # One BLAS dot per matrix: a stacked matmul sums in another order and can change the last bit.
-    rows = np.real(np.diagonal(mats, axis1=-2, axis2=-1)).reshape(-1, w.dim)
-    with np.errstate(all="ignore"):  # a sum past double range is refused below, with no warning
-        val = np.array([row @ diagonal for row in rows])
-        val = val + w.corner * (mats[..., 0, -1] + mats[..., -1, 0])
-    if not np.isfinite(val).all():
-        raise ValueError(f"witness {w.name}: expectation leaves double range")
-    return np.real(val) if mats.ndim == 3 else float(np.real(val[0]))
+    rows = np.real(np.diagonal(mats, axis1=-2, axis2=-1)).reshape(-1, mats.shape[-1])
+    val = _evaluate(w, rows, mats[..., 0, -1] + mats[..., -1, 0])
+    return val if mats.ndim == 3 else float(val[0])
+
+
+def _ghz_expectations(w: Witness, n: int, ps: np.ndarray) -> np.ndarray:
+    """expectation_value(ghz_witness_mixture(n, ps), w) for a nonempty ps, bit for bit, with no D x D
+    matrix per p: rho(p)'s diagonal and corners are made by the operations of mix_with_identity.
+
+    Each row is dotted on the strided real view of its complex row, as a matrix's diagonal is:
+    OpenBLAS's unit-stride ddot sums in another order, so a contiguous copy changes some last bits.
+    rho(ps[0]) and rho(ps[-1]) are built as one container stack, so both are checked Hermitian, of
+    unit trace and PSD.  rho(p) is affine in p and the PSD cone is convex, so every rho(p) between
+    them is PSD; each is exactly Hermitian, with a real diagonal and conjugate corners.  Each p's
+    row sum gets the container's trace check.
+    """
+    ghz_witness_mixture(n, ps[[0, -1]])
+    a = ghz_state(n, sign=+1).amplitudes
+    rows = (ps[:, None] / len(a)) * (1 + 0j) + (1 - ps[:, None]) * (a * a.conj())
+    _check_traces(rows.sum(axis=-1))
+    return _evaluate(w, np.real(rows), (1 - ps) * (a[0] * a[-1].conj()) + (1 - ps) * (a[-1] * a[0].conj()))
 
 
 def _values(w: Witness, thetas: np.ndarray, cos_nphi: np.ndarray) -> np.ndarray:

@@ -644,49 +644,71 @@ class TestScanChunks:
         got = scan_rows(["--witness-file", str(path), "--p-from", "0.5", "--p-to", "1", "--steps", "3"])
         assert float_bits(got) == float_bits(scan_rows_per_p(w, 17, 8, 0.5, 1.0, 3))
 
-    def test_states_and_operators_chunked_by_their_own_dimension(self, monkeypatch):
-        # W9 at k = 4: 10 x 10 states, 64 per stack; 30 x 30 operators, 7 per stack
-        assert (cli._scan_chunk(10), cli._scan_chunk(30)) == (64, 7)
-        stacks = {"states": [], "operators": []}
+    def test_one_state_stack_and_operators_chunked_by_their_dimension(self, monkeypatch):
+        # W9 at k = 4: the states are one stack of rho(p_from) and rho(p_to), the only states
+        # built as matrices; the 30 x 30 transposed states go 7 per stack.
+        assert cli._scan_chunk(30) == 7
+        states, operators = [], []
         density, operator = symstate.SymmetricDensityMatrix, cli.BipartiteOperator
 
-        def record(name, make):
+        def record_states(n, d, mats):
+            if np.ndim(mats) == 3:
+                states.append(mats[:, 1, 1].real.tolist())  # p/D, as the GHZ part is 0 there
+            return density(n, d, mats)
+
+        def record_operators(bip, mats):
             # The operator chunks run on pool threads, in any order: each stack is recorded with
             # its first p's entry [1, 1], p times a positive entry of the uniform part (the GHZ
             # part is 0 there), and the sizes are read in p order.
-            def wrapped(*args):
-                if np.ndim(args[-1]) == 3:
-                    stacks[name].append((args[-1][0, 1, 1].real, len(args[-1])))
-                return make(*args)
-            return wrapped
+            operators.append((mats[0, 1, 1].real, len(mats)))
+            return operator(bip, mats)
 
-        monkeypatch.setattr(symstate, "SymmetricDensityMatrix", record("states", density))
-        monkeypatch.setattr(cli, "BipartiteOperator", record("operators", operator))
+        monkeypatch.setattr(symstate, "SymmetricDensityMatrix", record_states)
+        monkeypatch.setattr(cli, "BipartiteOperator", record_operators)
         scan_rows(["--witness", "W9", "--k", "4", "--p-from", "0.99", "--p-to", "1", "--steps", "201"])
-        sizes = {name: [size for _, size in sorted(recorded)] for name, recorded in stacks.items()}
-        assert sizes == {"states": [64, 64, 64, 9], "operators": [7] * 28 + [5]}
-        assert all(len({key for key, _ in recorded}) == len(recorded) for recorded in stacks.values())
+        assert states == [[0.99 / 10, 1 / 10]]
+        assert [size for _, size in sorted(operators)] == [7] * 28 + [5]
+        assert len({key for key, _ in operators}) == len(operators)
 
 
 class TestScanChecks:
-    """The chunked scan keeps every per-step check: a matrix that fails one
-    makes the command exit 1 (2 for an eigenpair) with that check's message."""
+    """scan keeps the container checks: each transposed state at every step, and rho(p) on its
+    two end states, with each p's trace.  A matrix or trace that fails one makes the command exit
+    1 (2 for an eigenpair) with that check's message."""
 
     ARGV = ["scan", "--witness", "W5", "--p-from", "0.9", "--p-to", "1", "--steps", "100"]
 
     def test_density_check(self, capsys, monkeypatch):
+        # rho(p_from) and rho(p_to) are one container stack: a corrupted end state is refused there.
+        # Every rho(p) between them is then PSD, by convexity, and exactly Hermitian.
         density = symstate.SymmetricDensityMatrix
 
-        def corrupt_middle(n, d, mats):
+        def corrupt_first_end(n, d, mats):
             if mats.ndim == 3:
+                assert len(mats) == 2
                 mats = mats.copy()
-                mats[len(mats) // 2, 0, 1] += 1e-9
+                mats[0, 0, 1] += 1e-9
             return density(n, d, mats)
 
-        monkeypatch.setattr(symstate, "SymmetricDensityMatrix", corrupt_middle)
+        monkeypatch.setattr(symstate, "SymmetricDensityMatrix", corrupt_first_end)
         code, out, err = run(capsys, self.ARGV)
         assert (code, out) == (1, "")
         assert err == "symppt: error: SymmetricDensityMatrix: matrix is not Hermitian within 1e-12\n"
+
+    def test_row_trace_check(self, capsys, monkeypatch):
+        # A nan p mid-grid leaves both end states valid; its diagonal row sums to nan, which the
+        # trace check refuses before any transposed state is built for it.
+        linspace = np.linspace
+
+        def nan_mid_grid(*args, **kwargs):
+            ps = linspace(*args, **kwargs)
+            ps[len(ps) // 2] = math.nan
+            return ps
+
+        monkeypatch.setattr(np, "linspace", nan_mid_grid)
+        code, out, err = run(capsys, self.ARGV)
+        assert (code, out) == (1, "")
+        assert err == "symppt: error: SymmetricDensityMatrix: trace (nan+nanj) deviates from 1 beyond 1e-12\n"
 
     def test_operator_check(self, capsys, monkeypatch):
         maxmixed_pt = cli.maxmixed_pt

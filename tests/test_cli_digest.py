@@ -20,9 +20,9 @@ TOOL = "tools/cli_digest.py"
 
 def test_command_set(tmp_path):
     argvs = load_script(TOOL).commands(tmp_path)
-    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 524
-    assert sum(argv[:1] == ["scan"] for argv in argvs) == 112
-    assert sum("--witness-file" in argv for argv in argvs) == 18
+    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 534
+    assert sum(argv[:1] == ["scan"] for argv in argvs) == 122
+    assert sum("--witness-file" in argv for argv in argvs) == 22
     assert sum("--out" in argv for argv in argvs) == 2
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,9 +91,24 @@ def test_edge_tables_match_reference(name, fmt):
     assert cli._render(table, fmt) == render_reference(table, fmt)
 
 
+# Columns whose cells are not all of one exact type, or hold special floats: a renderer that
+# picks one formatter per column by its cells' types must still match the reference on them.
+# Zero rows and zero columns are EDGE_TABLES["empty_rows"] and ["no_columns"].
+COLUMN_TABLES = {
+    "float_column_with_an_np_float64": Table({}, "rows", ("p",), [(0.5,), (np.float64(1 / 3),), (0.1 + 0.2,)]),
+    "bool_column_with_an_int": Table({}, "rows", ("b",), [(True,), (1,), (False,)]),
+    "float_column_of_special_values": Table({}, "rows", ("x",), [(math.nan,), (math.inf,), (-0.0,), (-math.inf,)]),
+    "table1_mixed_p_ent_witness": cli.cmd_table1(SimpleNamespace(nmax=10)),
+}
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(table=tables())
 @example(table=EDGE_TABLES["edge_cells"])
+@example(table=COLUMN_TABLES["float_column_with_an_np_float64"])
+@example(table=COLUMN_TABLES["bool_column_with_an_int"])
+@example(table=COLUMN_TABLES["float_column_of_special_values"])
+@example(table=COLUMN_TABLES["table1_mixed_p_ent_witness"])
 def test_random_tables_match_reference(table):
     for fmt in FORMATS:
         assert cli._render(table, fmt) == render_reference(table, fmt)

@@ -27,6 +27,7 @@ from symppt import (
     mix_with_identity,
     product_state_expectation,
     sappt_threshold_qubits,
+    symstate,
     witness,
     witness_from_json,
     witness_to_json,
@@ -188,6 +189,48 @@ class TestExpectation:
         with pytest.raises(ValueError) as info:
             expectation_value(rho, w)
         assert str(info.value) == "witness huge: expectation leaves double range"
+
+
+class TestGhzExpectations:
+    """scan's expectation column, witness._ghz_expectations, reads rho(p)'s diagonal and corners
+    alone: it is the container route expectation_value(ghz_witness_mixture(n, ps), w), bit for bit."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 201, 1001])
+    @pytest.mark.parametrize("name", ["W5", "W7", "W9", "file"])
+    def test_bitwise_equal_to_the_container_route(self, name, steps, tmp_path):
+        if name == "file":
+            path = tmp_path / "neg.json"
+            path.write_text(json.dumps({"name": "neg", "diagonal": [1.0, -0.3, 0.5, 0.5, -0.3, 1.0],
+                                        "corner": -0.7}), encoding="utf-8")
+            w = load_witness_file(str(path))
+        else:
+            w = builtin_witness(name)
+        for p_from, p_to in [(0.0, 1.0), (0.0, 0.37), (0.95, 1.0), (1.0, 1.0), (0.0, 0.0)]:
+            ps = np.linspace(p_from, p_to, steps)
+            got = witness._ghz_expectations(w, w.n, ps)
+            assert got.dtype == np.float64 and got.shape == (steps,)
+            assert got.tobytes() == expectation_value(ghz_witness_mixture(w.n, ps), w).tobytes()
+
+    def test_end_states_are_the_only_matrices(self, monkeypatch):
+        built = []
+        density = symstate.SymmetricDensityMatrix
+
+        def record(n, d, mats):
+            built.append(np.shape(mats))
+            return density(n, d, mats)
+
+        monkeypatch.setattr(symstate, "SymmetricDensityMatrix", record)
+        witness._ghz_expectations(builtin_witness("W9"), 9, np.linspace(0.9, 1.0, 1001))
+        assert built == [(2, 10, 10)]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match=r"^expectation_value: state dim 6 != witness dim 8$"):
+            witness._ghz_expectations(builtin_witness("W7"), 5, np.linspace(0.9, 1.0, 3))
+
+    def test_value_past_double_range(self):
+        w = Witness("huge", (1.7e308, 0.0, 1.7e308), 1.7e308)
+        with pytest.raises(ValueError, match=r"^witness huge: expectation leaves double range$"):
+            witness._ghz_expectations(w, 2, np.linspace(0.0, 0.1, 3))
 
 
 class TestProductExpectation:

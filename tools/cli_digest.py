@@ -92,11 +92,17 @@ def commands(tmp: Path) -> list[list[str]]:
             for fmt in ("text", "json"):
                 argvs.append(["witness", name, "--grid", grid, "--format", fmt])
                 argvs.append(["witness", name, "--validate", "--grid", grid, "--format", fmt])
+    # scan's expectation column over the whole p range: p = 0 and p = 1 as the end states.
+    argvs += [["scan", "--witness", name, "--p-from", "0", "--p-to", "1", "--steps", steps]
+              for name in ("W5", "W9") for steps in ("1", "2", "1001")]
     for filename in WITNESS_FILES:
         path = str(tmp / filename)
         for grid in FILE_GRIDS:
             argvs.append(["witness", "--witness-file", path, "--grid", grid, "--format", "json"])
             argvs.append(["witness", "--witness-file", path, "--validate", "--grid", grid])
+        for fmt in ("csv", "json"):
+            argvs.append(["scan", "--witness-file", path, "--p-from", "0", "--p-to", "1", "--steps", "201",
+                          "--format", fmt])
     path = str(tmp / "invalid.json")
     argvs += [["witness", "--witness-file", path], ["witness", "--witness-file", path, "--validate"]]
     argvs += readme_examples() + [line.split() for line in REFUSALS]
